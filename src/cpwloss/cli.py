@@ -139,6 +139,26 @@ def parse_params(pairs):
     return params
 
 
+def parse_number(text, what):
+    """float(text), or a DataError that names what was being read."""
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"{what}: cannot parse '{text}' as a number") from None
+
+
+def parse_spans(text, unit):
+    """[(lo, hi), ...] from a 'lo:hi,lo:hi' string."""
+    spans = []
+    for part in text.split(","):
+        lo, sep, hi = part.partition(":")
+        if not sep:
+            raise DataError(f"window '{part}' must be lo:hi in {unit}")
+        spans.append((parse_number(lo, f"window '{part}'"),
+                      parse_number(hi, f"window '{part}'")))
+    return spans
+
+
 def _out_path(cfg, name):
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
@@ -228,13 +248,7 @@ def parse_windows_arg(windows_arg):
             return [(w["f_lo_hz"], w["f_hi_hz"]) for w in doc["body"]["windows"]]
         except (KeyError, TypeError):
             raise DataError(f"{windows_arg}: not a scan report with windows") from None
-    spans = []
-    for part in windows_arg.split(","):
-        lo, sep, hi = part.partition(":")
-        if not sep:
-            raise DataError(f"window '{part}' must be lo:hi in Hz")
-        spans.append((float(lo), float(hi)))
-    return spans
+    return parse_spans(windows_arg, "Hz")
 
 
 def slice_sweep(sweep, f_lo, f_hi, label):
@@ -253,8 +267,9 @@ def cmd_fit(cfg):
     if cfg.windows:
         if len(cfg.inputs) != 1:
             raise DataError("--windows applies to exactly one wideband file")
+        windows = parse_windows_arg(cfg.windows)
         sweep = dataio.parse_sweep_file(cfg.inputs[0])
-        for k, (lo, hi) in enumerate(parse_windows_arg(cfg.windows)):
+        for k, (lo, hi) in enumerate(windows):
             label = f"w{k}"
             try:
                 sub = slice_sweep(sweep, lo, hi, label)
@@ -383,8 +398,8 @@ def cmd_budget(cfg):
         if given != expected:
             raise DataError(f"{cfg.losses}: expected keys "
                             f"{sorted(expected)}, got {sorted(given)}")
-        losses = lossbudget.InterfaceLosses(**{k: float(v)
-                                               for k, v in values.items()})
+        losses = lossbudget.InterfaceLosses(**{
+            k: parse_number(v, f"{cfg.losses}: {k}") for k, v in values.items()})
         row = lossbudget.interpolate(table, cfg.trench_nm)
         delta = lossbudget.forward_loss(row, losses)
         body = {
@@ -401,10 +416,10 @@ def cmd_budget(cfg):
               f"-> {_out_path(cfg, 'budget_report.json')}")
         return 0
 
-    header, names, rows = dataio.read_rows(cfg.decompose)
+    _, names, lines, start = dataio.read_lines(cfg.decompose)
     want_sigma = names is not None and "sigma" in names
     cols = ("trench_nm", "delta", "sigma") if want_sigma else ("trench_nm", "delta")
-    parsed = dataio.float_columns(cfg.decompose, names, rows, cols)
+    parsed = dataio.float_columns(cfg.decompose, names, lines, start, cols)
     trench, deltas = parsed[0], parsed[1]
     sigmas = parsed[2] if want_sigma else None
     prows = [lossbudget.interpolate(table, t) for t in trench]
@@ -426,16 +441,11 @@ def cmd_budget(cfg):
 # ----------------------------------------------------------------- xrd
 
 def cmd_xrd(cfg):
-    scan = dataio.parse_xrd_file(cfg.inputs[0])
     if cfg.windows:
-        windows = []
-        for part in cfg.windows.split(","):
-            lo, sep, hi = part.partition(":")
-            if not sep:
-                raise DataError(f"xrd window '{part}' must be lo:hi in degrees")
-            windows.append((float(lo), float(hi)))
+        windows = parse_spans(cfg.windows, "degrees")
     else:
         windows = list(filmchar.DEFAULT_XRD_WINDOWS)
+    scan = dataio.parse_xrd_file(cfg.inputs[0])
     peaks, diagnostics, plot_data = [], [], {}
     for k, window in enumerate(windows):
         try:
@@ -566,7 +576,7 @@ def _params_float(params, defaults):
         if isinstance(defaults[key], str):
             out[key] = value
         else:
-            out[key] = float(value)
+            out[key] = parse_number(value, f"synth parameter '{key}'")
     return out
 
 
@@ -659,7 +669,7 @@ def cmd_synth(cfg):
             fields = part.split(":")
             if len(fields) != 4:
                 raise DataError(f"peak '{part}' must be center:fwhm:amplitude:eta")
-            peaks.append(tuple(float(v) for v in fields))
+            peaks.append(tuple(parse_number(v, f"peak '{part}'") for v in fields))
         scan, truth = synth.synthesize_xrd(
             peaks, baseline=(p["b0"], p["b1"]), two_theta_lo=p["lo"],
             two_theta_hi=p["hi"], step=p["step"], noise_sigma=p["noise"],

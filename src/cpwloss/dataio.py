@@ -1,10 +1,16 @@
 """File formats, domain types and report writing.
 
 All measurement files share one plain-text layout: a block of
-``#key=value`` header lines, one line naming the columns, then
+``#key=value`` header lines, one optional line naming the columns, then
 whitespace-separated numeric rows. Comments after the data block are
 not allowed; unknown header keys are kept and echoed into reports so
 nothing a measurement setup wrote is silently dropped.
+
+Lines split on "\n" only (``\r\n`` and ``\r`` read as "\n"): a form feed
+inside a line separates cells and shifts no line number. Blank lines
+are allowed anywhere; the names row precedes the data; each data row
+has one cell per column, each a finite float() in numeric files. Errors
+name the first bad line.
 
 Parsed objects are immutable: dataclasses are frozen and their numpy
 arrays are marked read-only, so they can be shared across worker
@@ -208,45 +214,54 @@ def _check_increasing(arr, what):
 # ---------------------------------------------------------------------------
 # low-level columnar reader / writer
 
-def read_rows(path):
-    """Read a columnar file.
+def read_lines(path):
+    """Read a columnar file and scan it up to its first data line.
 
-    Returns (header, names, rows) where header maps key -> raw string
-    value, names is the list of column names and rows is a list of
-    (line_number, tokens). Raises ParseError with the offending line
-    number on malformed input.
+    Returns (header, names, lines, start): header maps key -> raw string
+    value, names is the list of column names or None, lines is the file
+    split on "\n" and lines[start] is the first data line.
     """
-    header = {}
-    names = None
-    rows = []
     with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if rows or names is not None:
-                    raise ParseError(path, lineno, "header line after data block")
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise ParseError(path, lineno, f"malformed header line '{line}'")
-                key, _, value = body.partition("=")
-                key = key.strip()
-                if not key:
-                    raise ParseError(path, lineno, "empty header key")
-                header[key] = value.strip()
-                continue
-            tokens = line.split()
-            if names is None and not _looks_numeric(tokens[0]):
-                names = tokens
-                continue
-            if names is not None and len(tokens) != len(names):
-                raise ParseError(path, lineno,
-                                 f"expected {len(names)} columns, got {len(tokens)}")
-            rows.append((lineno, tokens))
-    if not rows:
-        raise ParseError(path, 1, "no data rows")
-    return header, names, rows
+        lines = fh.read().split("\n")
+    header, names = {}, None
+    for i, raw in enumerate(lines):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if names is not None:
+                raise ParseError(path, i + 1, "header line after data block")
+            key, sep, value = line[1:].partition("=")
+            if not sep:
+                raise ParseError(path, i + 1, f"malformed header line '{line}'")
+            if not key.strip():
+                raise ParseError(path, i + 1, "empty header key")
+            header[key.strip()] = value.strip()
+            continue
+        tokens = line.split()
+        if names is not None or _looks_numeric(tokens[0]):
+            return header, names, lines, i
+        names = tokens
+    raise ParseError(path, 1, "no data rows")
+
+
+def _check_names(path, names, expected, start):
+    if names is not None and names != list(expected):
+        raise ParseError(path, start,
+                         f"expected columns {' '.join(expected)}, got {' '.join(names)}")
+
+
+def _data_rows(path, lines, start, ncol):
+    """(line number, tokens) of each non-blank data line, checked for form."""
+    for i in range(start, len(lines)):
+        tokens = lines[i].split()
+        if not tokens:
+            continue
+        if tokens[0].startswith("#"):
+            raise ParseError(path, i + 1, "header line after data block")
+        if len(tokens) != ncol:
+            raise ParseError(path, i + 1, f"expected {ncol} columns, got {len(tokens)}")
+        yield i + 1, tokens
 
 
 def _looks_numeric(token):
@@ -268,25 +283,26 @@ def _float_cell(tok, path, lineno, colname):
     return value
 
 
-def _float_columns(path, names, rows, expected_names):
-    if names is None:
-        names = list(expected_names)
-    if list(names) != list(expected_names):
-        raise ParseError(path, rows[0][0] - 1,
-                         f"expected columns {' '.join(expected_names)}, got {' '.join(names)}")
-    cols = [[] for _ in expected_names]
-    for lineno, tokens in rows:
-        if len(tokens) != len(expected_names):
-            raise ParseError(path, lineno,
-                             f"expected {len(expected_names)} columns, got {len(tokens)}")
-        for j, tok in enumerate(tokens):
-            cols[j].append(_float_cell(tok, path, lineno, expected_names[j]))
-    return [np.array(c) for c in cols]
+def float_columns(path, names, lines, start, expected_names):
+    """Parse the data lines from read_lines as finite float columns.
 
-
-def float_columns(path, names, rows, expected_names):
-    """Validate column names from read_rows and parse them as floats."""
-    return _float_columns(path, names, rows, expected_names)
+    The names row, if any, must be expected_names. All cells go through
+    float() at once; only on failure are the lines walked, to raise
+    ParseError at the first bad one.
+    """
+    _check_names(path, names, expected_names, start)
+    ncol = len(expected_names)
+    data = lines[start:]
+    try:
+        values = np.array(list(map(float, "\n".join(data).split())))
+    except ValueError:
+        values = None
+    if (values is None or set(map(len, map(str.split, data))) - {0, ncol}
+            or not np.isfinite(values).all()):
+        for lineno, tokens in _data_rows(path, lines, start, ncol):
+            for name, tok in zip(expected_names, tokens):
+                _float_cell(tok, path, lineno, name)
+    return list(values.reshape(-1, ncol).T.copy())
 
 
 def _header_float(header, key, path):
@@ -303,16 +319,21 @@ def format_number(x):
     return f"{x:.12g}"
 
 
+_WRITE_CHUNK_ROWS = 65536
+
+
 def write_rows(path, header, names, columns):
-    """Write a columnar file (the inverse of read_rows)."""
-    columns = [np.asarray(c) for c in columns]
+    """Write a columnar file of numbers (the inverse of float_columns),
+    formatting each chunk of rows as format_number would, with one %."""
+    values = np.column_stack(columns)
+    row = " ".join(["%.12g"] * values.shape[1]) + "\n"
     with open(path, "w") as fh:
         for key, value in header.items():
             fh.write(f"#{key}={value}\n")
         fh.write(" ".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(" ".join(v if isinstance(v, str) else format_number(v)
-                              for v in row) + "\n")
+        for i in range(0, len(values), _WRITE_CHUNK_ROWS):
+            chunk = values[i:i + _WRITE_CHUNK_ROWS]
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +358,15 @@ def complex_to_db_phase(z):
 
 def parse_sweep_file(path):
     """Parse a complex or dB/phase S21 sweep file into a ComplexSweep."""
-    header, names, rows = read_rows(path)
+    header, names, lines, start = read_lines(path)
     fmt = header.get("format", "complex")
     if fmt == "complex":
-        f, re, im = _float_columns(path, names, rows,
-                                   ("frequency_hz", "s21_real", "s21_imag"))
+        f, re, im = float_columns(path, names, lines, start,
+                                  ("frequency_hz", "s21_real", "s21_imag"))
         z = re + 1j * im
     elif fmt == "db_phase":
-        f, db, ph = _float_columns(path, names, rows,
-                                   ("frequency_hz", "s21_mag_db", "s21_phase_rad"))
+        f, db, ph = float_columns(path, names, lines, start,
+                                  ("frequency_hz", "s21_mag_db", "s21_phase_rad"))
         z = db_phase_to_complex(db, ph)
     else:
         raise ParseError(path, 1, f"unknown format '{fmt}' (expected complex or db_phase)")
@@ -370,27 +391,27 @@ def parse_sweep_file(path):
             source=str(path),
         )
     except DataError as exc:
-        raise ParseError(path, rows[0][0], str(exc)) from None
+        raise ParseError(path, start + 1, str(exc)) from None
 
 
 def parse_rt_file(path):
-    header, names, rows = read_rows(path)
-    t, r = _float_columns(path, names, rows, ("temperature_k", "resistance_ohm"))
+    header, names, lines, start = read_lines(path)
+    t, r = float_columns(path, names, lines, start, ("temperature_k", "resistance_ohm"))
     try:
         return RtSweep(temperature_k=t, resistance_ohm=r,
                        header=dict(header), source=str(path))
     except DataError as exc:
-        raise ParseError(path, rows[0][0], str(exc)) from None
+        raise ParseError(path, start + 1, str(exc)) from None
 
 
 def parse_xrd_file(path):
-    header, names, rows = read_rows(path)
-    tt, c = _float_columns(path, names, rows, ("two_theta_deg", "counts"))
+    header, names, lines, start = read_lines(path)
+    tt, c = float_columns(path, names, lines, start, ("two_theta_deg", "counts"))
     try:
         return XrdScan(two_theta_deg=tt, counts=c,
                        header=dict(header), source=str(path))
     except DataError as exc:
-        raise ParseError(path, rows[0][0], str(exc)) from None
+        raise ParseError(path, start + 1, str(exc)) from None
 
 
 def parse_sheet_file(path):
@@ -399,16 +420,11 @@ def parse_sheet_file(path):
     Columns: wafer_id site r_square_ohm_sq. Each wafer must appear with
     exactly nine sites.
     """
-    header, names, rows = read_rows(path)
-    expected = ["wafer_id", "site", "r_square_ohm_sq"]
-    if names is not None and list(names) != expected:
-        raise ParseError(path, rows[0][0] - 1,
-                         f"expected columns {' '.join(expected)}, got {' '.join(names)}")
+    header, names, lines, start = read_lines(path)
+    _check_names(path, names, ("wafer_id", "site", "r_square_ohm_sq"), start)
     wafers = {}
     first_line = {}
-    for lineno, tokens in rows:
-        if len(tokens) != 3:
-            raise ParseError(path, lineno, f"expected 3 columns, got {len(tokens)}")
+    for lineno, tokens in _data_rows(path, lines, start, 3):
         wafer, site, r_tok = tokens
         r = _float_cell(r_tok, path, lineno, "r_square_ohm_sq")
         wafers.setdefault(wafer, []).append((site, r))

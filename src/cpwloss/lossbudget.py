@@ -107,9 +107,9 @@ def load_table(path):
     """Read a user-supplied participation table in the columnar file format."""
     from . import dataio
 
-    _, names, rows = dataio.read_rows(path)
-    cols = dataio._float_columns(path, names, rows,
-                                 ("trench_nm", "p_sa", "p_ma", "p_ms", "p_si"))
+    _, names, lines, start = dataio.read_lines(path)
+    cols = dataio.float_columns(path, names, lines, start,
+                                ("trench_nm", "p_sa", "p_ma", "p_ms", "p_si"))
     table_rows = tuple(ParticipationRow(*vals) for vals in zip(*cols))
     return ParticipationTable(rows=table_rows)
 

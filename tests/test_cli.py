@@ -350,3 +350,40 @@ class TestErrors:
         assert run("budget", "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("cpwloss budget: error:")
+
+
+class TestBadNumbers:
+    """A bad number in an argument ends in one error line, not a traceback."""
+
+    def assert_one_error(self, capsys, command):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"cpwloss {command}: error: ")
+        assert "cannot parse" in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_synth_param(self, tmp_path, capsys):
+        assert run("synth", "notch", "fr=abc", "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "synth")
+
+    def test_fit_windows(self, tmp_path, capsys):
+        assert run("synth", "notch", "--out", tmp_path) == 0
+        capsys.readouterr()
+        assert run("fit", tmp_path / "notch.dat", "--windows", "a:b",
+                   "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "fit")
+
+    def test_budget_losses(self, tmp_path, capsys):
+        path = tmp_path / "losses.cfg"
+        path.write_text("delta_sa=abc\ndelta_ma=1e-3\ndelta_ms=1e-3\ndelta_si=1e-7\n")
+        assert run("budget", "--losses", path, "--trench-nm", 0,
+                   "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "budget")
+
+    def test_xrd_windows(self, tmp_path, capsys):
+        assert run("synth", "xrd", "--out", tmp_path) == 0
+        capsys.readouterr()
+        assert run("xrd", tmp_path / "xrd.dat", "--windows", "1:x",
+                   "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "xrd")

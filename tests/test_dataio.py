@@ -77,6 +77,16 @@ class TestSweepParsing:
         with pytest.raises(ParseError):
             dataio.parse_sweep_file(path)
 
+    def test_names_row_after_data_is_a_bad_line(self, tmp_path):
+        # without a names row before the data, a later one is not adopted
+        text = sweep_text().replace(NAMES + "\n", "")
+        text = replace_line(text, 20, NAMES)
+        path = write(tmp_path / "late_names.dat", text)
+        with pytest.raises(ParseError) as err:
+            dataio.parse_sweep_file(path)
+        assert str(err.value) == (f"{path}:20: column 'frequency_hz': "
+                                  f"cannot parse 'frequency_hz' as a number")
+
     def test_too_few_points(self, tmp_path):
         path = write(tmp_path / "tiny.dat", sweep_text(n=10))
         with pytest.raises(ParseError):
@@ -167,6 +177,132 @@ class TestOtherParsers:
             dataio.parse_sweep_file(path)
 
 
+NAMES = "frequency_hz s21_real s21_imag"
+
+
+def replace_line(text, lineno, new):
+    lines = text.split("\n")
+    lines[lineno - 1] = new
+    return "\n".join(lines)
+
+
+# Single-defect sweep files (sweep_text: 2 header lines, names on line 3,
+# data on lines 4-43) with the line and message each must be reported at.
+DEFECTS = [
+    ("bad_cell", replace_line(sweep_text(), 10, "5000006000 0.9 banana"),
+     10, "column 's21_imag': cannot parse 'banana' as a number"),
+    ("bad_first_cell", replace_line(sweep_text(), 4, "x5e9 0.9 0.01"),
+     4, "column 'frequency_hz': cannot parse 'x5e9' as a number"),
+    ("too_few_columns", replace_line(sweep_text(), 20, "5000016000 0.9"),
+     20, "expected 3 columns, got 2"),
+    ("too_many_columns", replace_line(sweep_text(), 43, "5000039000 0.9 0.01 7"),
+     43, "expected 3 columns, got 4"),
+    ("header_after_data", sweep_text() + "#late_key=1\n",
+     44, "header line after data block"),
+    ("comment_inside_data", replace_line(sweep_text(), 30, "# pause"),
+     30, "header line after data block"),
+    ("nan_cell", replace_line(sweep_text(), 5, "5000001000 nan 0.01"),
+     5, "column 's21_real': non-finite value 'nan'"),
+    ("inf_cell", replace_line(sweep_text(), 40, "5000036000 0.9 -inf"),
+     40, "column 's21_imag': non-finite value '-inf'"),
+    ("wrong_names", replace_line(sweep_text(), 3, "frequency_hz re im"),
+     3, f"expected columns {NAMES}, got frequency_hz re im"),
+    ("no_data_rows", "#power_dbm=-80\n" + NAMES + "\n\n",
+     1, "no data rows"),
+    ("bad_cell_without_names", replace_line(sweep_text().replace(NAMES + "\n", ""), 9,
+                                            "5000006000 0.9 1e"),
+     9, "column 's21_imag': cannot parse '1e' as a number"),
+    ("malformed_header", replace_line(sweep_text(), 2, "#attenuation_db 60"),
+     2, "malformed header line '#attenuation_db 60'"),
+]
+
+
+class TestReaderParity:
+    @pytest.mark.parametrize("text,line,message",
+                             [d[1:] for d in DEFECTS], ids=[d[0] for d in DEFECTS])
+    def test_single_defect(self, tmp_path, text, line, message):
+        path = write(tmp_path / "bad.dat", text)
+        with pytest.raises(ParseError) as err:
+            dataio.parse_sweep_file(path)
+        assert err.value.line == line
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_rt_bad_cell(self, tmp_path):
+        lines = ["temperature_k resistance_ohm"] + [f"{2.0 + k} 25" for k in range(10)]
+        lines[6] = "7.0 ohm"
+        path = write(tmp_path / "rt.dat", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            dataio.parse_rt_file(path)
+        assert str(err.value) == (f"{path}:7: column 'resistance_ohm': "
+                                  f"cannot parse 'ohm' as a number")
+
+    @pytest.mark.parametrize("transform", [
+        lambda t: replace_line(t, 20, "\n" + t.split("\n")[19] + "\n  \t"),
+        lambda t: t.replace(NAMES + "\n", ""),
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace(" 0.01\n", "\x0c0.01\n"),
+    ], ids=["blank_lines_inside", "no_names_row", "crlf", "form_feed"])
+    def test_accepted_variants(self, tmp_path, transform):
+        # reference: float() of each cell of the clean file, row by row
+        ref = np.array([[float(tok) for tok in line.split()]
+                        for line in sweep_text().split("\n")[3:] if line])
+        text = transform(sweep_text())
+        assert text != sweep_text()
+        path = tmp_path / "variant.dat"
+        path.write_bytes(text.encode())
+        s = dataio.parse_sweep_file(str(path))
+        np.testing.assert_array_equal(s.frequency_hz, ref[:, 0])
+        np.testing.assert_array_equal(s.s21, ref[:, 1] + 1j * ref[:, 2])
+
+    def test_line_numbers_count_newlines_only(self, tmp_path):
+        # \x1c and \u2028 separate cells but do not end a line
+        text = replace_line(sweep_text(), 8, "5000004000\x1c0.9\u20280.01")
+        text = replace_line(text, 12, "5000008000 0.9 oops")
+        path = tmp_path / "sep.dat"
+        path.write_bytes(text.encode())
+        with pytest.raises(ParseError) as err:
+            dataio.parse_sweep_file(str(path))
+        assert err.value.line == 12
+
+
+def old_write_rows(header, names, columns):
+    """The row-by-row writer that write_rows replaced."""
+    text = "".join(f"#{k}={v}\n" for k, v in header.items()) + " ".join(names) + "\n"
+    for row in zip(*[np.asarray(c) for c in columns]):
+        text += " ".join(dataio.format_number(v) for v in row) + "\n"
+    return text
+
+
+class TestWriterParity:
+    EDGE = [-0.0, 5e-324, 1e22, 123456789012345.0, 1.0 / 3.0, -2.5e-300,
+            1.7976931348623157e308, 0.1, 1e16, 12345678901234567890.0]
+
+    def check(self, tmp_path, header, names, columns):
+        path = tmp_path / "w.dat"
+        dataio.write_rows(str(path), header, names, columns)
+        assert path.read_bytes() == old_write_rows(header, names, columns).encode()
+
+    def test_edge_floats(self, tmp_path):
+        self.check(tmp_path, {"plot": "edge"}, ("x",), (np.array(self.EDGE),))
+
+    def test_ints_beside_floats(self, tmp_path):
+        ints = np.array([0, -7, 123456789012345, 2 ** 53 + 1, 10 ** 12, 999999999999,
+                         1, 2, 3, 4], dtype=np.int64)
+        self.check(tmp_path, {}, ("i", "x", "py"),
+                   (ints, np.array(self.EDGE), [5, -1, 0, 3, 10 ** 15, 7, 8, 9, 11, 12]))
+
+    def test_non_finite_plot_column(self, tmp_path):
+        sigma = np.array([1e-7, np.nan, np.inf, -np.inf, 2.5e-8])
+        self.check(tmp_path, {"plot": "loss_vs_n"}, ("n_photon", "sigma_delta"),
+                   (np.geomspace(1.0, 1e6, 5), sigma))
+
+    def test_chunk_boundaries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_WRITE_CHUNK_ROWS", 3)
+        for n in (0, 1, 3, 7):
+            x = np.linspace(-1.0, 1.0, n) * np.pi
+            self.check(tmp_path, {"n": n}, ("x", "y"), (x, x ** 2))
+
+
 class TestDomainTypes:
     def test_sweep_arrays_read_only(self, tmp_path):
         s = dataio.parse_sweep_file(write(tmp_path / "s.dat", sweep_text()))
@@ -227,9 +363,12 @@ class TestReports:
         assert doc["body"]["x"]["value"] == 1.5
         assert doc["design_constants"]["gap_um"] == 6.0
         assert doc["plot_data"]["curve"] == "r_curve.dat"
-        header, names, rows = dataio.read_rows(str(tmp_path / "r_curve.dat"))
+        cpath = str(tmp_path / "r_curve.dat")
+        header, names, lines, start = dataio.read_lines(cpath)
         assert names == ["a", "b"]
-        assert len(rows) == 3
+        a, b = dataio.float_columns(cpath, names, lines, start, names)
+        np.testing.assert_array_equal(a, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(b, [0.0, 1.0, 4.0])
 
     def test_report_handles_nan(self, tmp_path):
         path = str(tmp_path / "r.json")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpwloss import stats
@@ -132,8 +132,19 @@ EXACT_AFFINE = st.tuples(
     st.integers(min_value=-100, max_value=100).map(float))
 
 
+# Nine values put the quartiles on data points 2 and 6 (q1 = 0, q3 = 4,
+# fences -6 and 10); each fence has a value one unit inside and one unit
+# outside it. Exact maps of these catch a fence that is not equivariant.
+FENCE_VECTOR = [-7.0, -5.0, 0.0, 0.0, 2.0, 4.0, 4.0, 9.0, 11.0]
+FENCE_VECTOR_LOW = [v - 1000.0 for v in FENCE_VECTOR]
+
+
 @settings(max_examples=100, deadline=None)
 @given(FLOAT_AFFINE, EXACT_AFFINE)
+@example((FENCE_VECTOR, 1.0, 0.0), (FENCE_VECTOR, 1.0, 100.0))
+@example((FENCE_VECTOR, 1.0, 0.0), (FENCE_VECTOR, 0.25, -64.0))
+@example((FENCE_VECTOR, 1.0, 0.0), (FENCE_VECTOR_LOW, 8.0, 100.0))
+@example((FENCE_VECTOR, 1.0, 0.0), (FENCE_VECTOR_LOW, 0.125, 0.0))
 def test_box_summary_affine_equivariance(inexact, exact):
     values, scale, shift = inexact
     b0 = stats.box_summary(values)
