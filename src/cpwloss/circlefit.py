@@ -21,6 +21,7 @@ from scipy.optimize import least_squares
 
 from .dataio import ComplexSweep
 from .errors import DataError, FitError
+from .fitcov import covariance
 
 TWO_PI = 2.0 * np.pi
 
@@ -198,31 +199,24 @@ def _phase_model(f, theta0, Ql, fr):
 
 
 def _fit_phase(f, w, fr0, ql0):
-    """Fit theta(f) = theta0 + 2*arctan(2*Ql*(1 - f/fr)) to centered data."""
+    """Fit theta(f) = theta0 + 2*arctan(2*Ql*(1 - f/fr)) to centered data.
+
+    One Levenberg-Marquardt solve over (theta0, Ql, fr), started at the
+    mean of the two end-point phases and the (fr0, ql0) guesses, with Ql
+    and fr scaled by their guesses so every parameter is O(1).
+    """
     inc = _phase_increments(w)
     theta = np.angle(w[0]) + np.concatenate([[0.0], np.cumsum(inc)])
-    theta0_0 = 0.5 * (theta[0] + theta[-1])
     scales = np.array([1.0, ql0, fr0])
+    p0 = np.array([0.5 * (theta[0] + theta[-1]), ql0, fr0])
 
-    def stage(free, p_init):
-        p_init = np.asarray(p_init, dtype=float)
+    def resid(q):
+        p = q * scales
+        return _phase_model(f, p[0], p[1], p[2]) - theta
 
-        def resid(q):
-            p = p_init.copy()
-            p[free] = q * scales[free]
-            return _phase_model(f, p[0], p[1], p[2]) - theta
-
-        sol = least_squares(resid, p_init[free] / scales[free],
-                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=800)
-        out = p_init.copy()
-        out[free] = sol.x * scales[free]
-        return out
-
-    p = np.array([theta0_0, ql0, fr0])
-    p = stage([0, 2], p)          # center frequency and offset first
-    p = stage([0, 1], p)          # then the width
-    p = stage([0, 1, 2], p)       # then everything together
-    theta0, ql, fr = p
+    sol = least_squares(resid, p0 / scales, method="lm",
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=800)
+    theta0, ql, fr = sol.x * scales
     if ql <= 0 or not f[0] <= fr <= f[-1]:
         raise FitError("phase fit failed: resonance outside the sweep or Ql <= 0")
     return theta0, ql, fr
@@ -377,9 +371,7 @@ def _refine(f, z, p0):
     res = least_squares(residuals, pc0 / scales, method="lm",
                         xtol=1e-10, ftol=1e-14, gtol=1e-14,
                         max_nfev=max_nfev)
-    if res.status <= 0:
-        raise FitError(f"refinement did not converge within {max_nfev} "
-                       f"function evaluations: {res.message}")
+    cov_q = covariance(res, f"refinement (limit {max_nfev} function evaluations)")
     p = res.x * scales
     p[5] = p[5] + TWO_PI * fc * p[6]
 
@@ -390,14 +382,6 @@ def _refine(f, z, p0):
     p[3] = _wrap_angle(p[3])
     p[5] = _wrap_angle(p[5])
 
-    m = res.fun.size
-    dof = m - 7
-    s2 = 2.0 * res.cost / dof if dof > 0 else 0.0
-    jtj = res.jac.T @ res.jac
-    try:
-        cov_q = np.linalg.inv(jtj) * s2
-    except np.linalg.LinAlgError:
-        cov_q = np.linalg.pinv(jtj) * s2
     # unscale, then the same linear map as alpha = alpha_c + 2*pi*f_c*tau
     t = np.diag(scales)
     t[5, 6] = TWO_PI * fc * scales[6]

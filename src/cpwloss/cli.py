@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,7 +54,6 @@ class RunConfig:
     inputs: tuple = ()
     out_dir: str = "."
     seed: int = DEFAULT_SEED
-    jobs: int = 1
     attenuation_db: float = None
     trench_nm: float = None
     windows: str = None
@@ -67,10 +65,6 @@ class RunConfig:
     kind: str = None
     params: dict = field(default_factory=dict)
     design_constants: dict = field(default_factory=lambda: dict(DESIGN_CONSTANTS))
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise DataError(f"--jobs must be >= 1, got {self.jobs}")
 
 
 def parse_config_file(path):
@@ -89,7 +83,7 @@ def parse_config_file(path):
 
 
 _CONFIG_TYPES = {
-    "out": str, "seed": int, "jobs": int,
+    "out": str, "seed": int,
     "attenuation_db": float, "trench_nm": float, "windows": str,
     "prominence_db": float, "thickness_nm": float,
     "table": str, "losses": str, "decompose": str,
@@ -99,6 +93,10 @@ _CONFIG_TYPES = {
 def build_config(args):
     """RunConfig from parsed argparse namespace plus optional config file."""
     file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_values) - set(_CONFIG_TYPES))
+    if unknown:
+        raise DataError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
+                        f"valid keys: {', '.join(_CONFIG_TYPES)}")
     merged = {}
     for key, cast in _CONFIG_TYPES.items():
         flag = getattr(args, key, None)
@@ -115,7 +113,6 @@ def build_config(args):
         inputs=tuple(getattr(args, "inputs", ()) or ()),
         out_dir=merged.get("out", "."),
         seed=merged.get("seed", DEFAULT_SEED),
-        jobs=merged.get("jobs", 1),
         attenuation_db=merged.get("attenuation_db"),
         trench_nm=merged.get("trench_nm"),
         windows=merged.get("windows"),
@@ -241,14 +238,19 @@ def cmd_scan(cfg):
 # ----------------------------------------------------------------- fit
 
 def parse_windows_arg(windows_arg):
-    """Windows from a scan report path or an explicit 'lo:hi,lo:hi' string."""
-    if os.path.exists(windows_arg):
-        doc = dataio.read_report(windows_arg)
-        try:
-            return [(w["f_lo_hz"], w["f_hi_hz"]) for w in doc["body"]["windows"]]
-        except (KeyError, TypeError):
-            raise DataError(f"{windows_arg}: not a scan report with windows") from None
-    return parse_spans(windows_arg, "Hz")
+    """Windows from an explicit 'lo:hi,lo:hi' string or a scan report path.
+
+    Only an argument whose every comma-separated part holds a ':' is a
+    span list; anything else is read as a report, so a mistyped path
+    fails naming the missing file.
+    """
+    if all(":" in part for part in windows_arg.split(",")):
+        return parse_spans(windows_arg, "Hz")
+    doc = dataio.read_report(windows_arg)
+    try:
+        return [(w["f_lo_hz"], w["f_hi_hz"]) for w in doc["body"]["windows"]]
+    except (KeyError, TypeError):
+        raise DataError(f"{windows_arg}: not a scan report with windows") from None
 
 
 def slice_sweep(sweep, f_lo, f_hi, label):
@@ -263,7 +265,7 @@ def slice_sweep(sweep, f_lo, f_hi, label):
 
 
 def cmd_fit(cfg):
-    items = []  # (sort_key, label, sweep)
+    items = []  # (sort_key, label, sweep or the DataError that slicing raised)
     if cfg.windows:
         if len(cfg.inputs) != 1:
             raise DataError("--windows applies to exactly one wideband file")
@@ -283,27 +285,16 @@ def cmd_fit(cfg):
                           str(path), sub))
     items.sort(key=lambda it: it[0])
 
-    def run(item):
-        _, label, sweep_or_exc = item
-        if isinstance(sweep_or_exc, Exception):
-            return label, None, sweep_or_exc
-        try:
-            return label, sweep_or_exc, fit_resonance(sweep_or_exc)
-        except CpwLossError as exc:
-            return label, sweep_or_exc, exc
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run, items))
-    else:
-        results = [run(item) for item in items]
-
     fits, failures, plot_data, inputs = [], [], {}, []
-    for idx, (label, sweep, outcome) in enumerate(results):
-        if sweep is not None:
-            inputs.append(dataio.provenance(sweep))
-        if isinstance(outcome, Exception):
-            failures.append({"item": label, "error": str(outcome)})
+    for idx, (_, label, sweep) in enumerate(items):
+        if isinstance(sweep, Exception):
+            failures.append({"item": label, "error": str(sweep)})
+            continue
+        inputs.append(dataio.provenance(sweep))
+        try:
+            outcome = fit_resonance(sweep)
+        except CpwLossError as exc:
+            failures.append({"item": label, "error": str(exc)})
             continue
         entry = outcome.as_dict()
         entry["item"] = label
@@ -706,8 +697,6 @@ def build_parser():
                         help="key=value option file; flags override it")
     common.add_argument("--seed", type=int, default=None,
                         help=f"random seed (default {DEFAULT_SEED})")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for batch fits (default 1)")
 
     p = sub.add_parser("scan", parents=[common],
                        help="find resonance dips on a wideband trace")

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DataError, FitError
+from .fitcov import covariance
 
 FOUR_LN2 = 4.0 * np.log(2.0)
 
@@ -149,14 +150,12 @@ def _fit_one_peak(x, y, window):
 
     res = least_squares(residuals, p0, bounds=(lower, upper), method="trf",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=5000)
-    if res.status <= 0:
-        raise FitError(f"peak fit in window [{lo}, {hi}] did not converge: {res.message}")
+    cov = covariance(res, f"peak fit in window [{lo}, {hi}]")
     center, fwhm, amp, eta, b0c, b1 = res.x
     if amp < 3.0 * noise:
         raise FitError(f"no peak in window [{lo}, {hi}]: fitted amplitude "
                        f"{amp:.3g} below 3x baseline noise {noise:.3g}")
 
-    cov = _covariance(res, y.size)
     names = ("center", "fwhm", "amplitude", "eta", "baseline_intercept", "baseline_slope")
     sig = np.sqrt(np.clip(np.diag(cov), 0, None))
     # transform the centered intercept back to absolute 2theta
@@ -174,17 +173,6 @@ def _fit_one_peak(x, y, window):
         window=(lo, hi),
         rms_residual=rms,
     )
-
-
-def _covariance(res, n_data):
-    jac = res.jac
-    dof = n_data - jac.shape[1]
-    scale = 2.0 * res.cost / dof if dof > 0 else 0.0
-    try:
-        cov = np.linalg.inv(jac.T @ jac) * scale
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jac.T @ jac) * scale
-    return cov
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from scipy.optimize import least_squares
 
 from .circlefit import fit_resonance
 from .errors import DataError, FitError
+from .fitcov import covariance
 
 BETA_BOUNDS = (0.1, 1.0)
 
@@ -169,21 +170,11 @@ def fit_tls(points):
     res = least_squares(residuals, p0 / scales, bounds=(lower, upper),
                         method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
                         max_nfev=4000)
-    if res.status <= 0:
-        raise FitError(f"TLS fit did not converge: {res.message}")
+    cov = covariance(res, "TLS fit") * np.outer(scales, scales)
     dtls, nc, beta, dhp = res.x * scales
     beta_clamped = (beta <= BETA_BOUNDS[0] * (1 + 1e-9)
                     or beta >= BETA_BOUNDS[1] * (1 - 1e-9))
 
-    m = len(points)
-    dof = m - 4
-    s2 = 2.0 * res.cost / dof if dof > 0 else 0.0
-    jtj = res.jac.T @ res.jac
-    try:
-        cov_q = np.linalg.inv(jtj) * s2
-    except np.linalg.LinAlgError:
-        cov_q = np.linalg.pinv(jtj) * s2
-    cov = cov_q * np.outer(scales, scales)
     sigma = {
         "delta_tls": float(np.sqrt(max(cov[0, 0], 0.0))),
         "n_c": float(np.sqrt(max(cov[1, 1], 0.0))),
@@ -203,7 +194,7 @@ def fit_tls(points):
         sigma=sigma,
         rms_residual=rms,
         beta_clamped=bool(beta_clamped),
-        n_points=m,
+        n_points=len(points),
     )
 
 

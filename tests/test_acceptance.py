@@ -299,7 +299,7 @@ def test_08_end_to_end(tmp_path):
                          "--out", str(root)]) == 0
         assert cli.main(["fit", str(root / "feedline.dat"),
                          "--windows", str(root / "scan_report.json"),
-                         "--out", str(root), "--jobs", "2"]) == 0
+                         "--out", str(root)]) == 0
         for k, process in enumerate(["B/HP/HT/BOE", "B/LP/LT/BOE",
                                      "C/HP/HT/none"]):
             sub = root / f"res{k}"

@@ -111,7 +111,7 @@ class TestFit:
         out = tmp_path / "fits"
         assert run("fit", scanned_dir / "feedline.dat",
                    "--windows", scanned_dir / "scan_report.json",
-                   "--out", out, "--jobs", 2) == 0
+                   "--out", out) == 0
         doc = read_json(out / "fit_report.json")
         body = doc["body"]
         assert body["n_fits"] == 9
@@ -341,6 +341,21 @@ class TestConfigMerge:
         assert run("synth", "notch", "--out", nested) == 0
         assert (nested / "notch.dat").exists()
 
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        assert run("synth", "notch", "--out", tmp_path) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("atenuation_db=60\n")
+        capsys.readouterr()
+        assert run("fit", tmp_path / "notch.dat", "--config", cfg,
+                   "--out", tmp_path) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cpwloss fit: error: ")
+        assert "atenuation_db" in lines[0] and "attenuation_db" in lines[0]
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "fit_report.json").exists()
+
 
 class TestErrors:
     def test_missing_file(self, tmp_path, capsys):
@@ -350,6 +365,17 @@ class TestErrors:
         assert run("budget", "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("cpwloss budget: error:")
+
+    def test_missing_windows_report_named(self, tmp_path, capsys):
+        assert run("synth", "notch", "--out", tmp_path) == 0
+        capsys.readouterr()
+        missing = tmp_path / "missing" / "scan_reprot.json"
+        assert run("fit", tmp_path / "notch.dat", "--windows", missing,
+                   "--out", tmp_path) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cpwloss fit: error: ")
+        assert "No such file" in lines[0] and str(missing) in lines[0]
 
 
 class TestBadNumbers:
