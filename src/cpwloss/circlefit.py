@@ -8,9 +8,10 @@ The model for a quarter-wave resonator side-coupled to a feedline is
 with environment amplitude a, phase alpha and cable delay tau, loaded
 quality factor Ql, coupling magnitude |Qc| and impedance-mismatch angle
 phi. fit_resonance() extracts all seven parameters by the classic
-staged procedure: delay removal, algebraic circle fit, phase-vs-
-frequency fit, off-resonant-point calibration, then one simultaneous
-Levenberg-Marquardt refinement whose Jacobian provides the errors.
+staged procedure: a wing-slope delay start, algebraic circle fit,
+phase-vs-frequency fit, off-resonant-point calibration, then one
+simultaneous Levenberg-Marquardt refinement of all seven parameters
+(tau included) whose Jacobian provides the errors.
 """
 
 import warnings
@@ -112,20 +113,15 @@ def _wing_slices(n, fraction=0.2):
     return slice(0, k), slice(n - k, n)
 
 
-def estimate_delay(sweep):
-    """Cable delay in seconds.
+def _wing_delay(f, z):
+    """Cable delay in seconds from the phase slope of the trace's wings.
 
-    First guess: linear fits to the unwrapped phase of the outer 20% of
-    points on each side of the trace (averaged), which see mostly the
-    e^{-2i*pi*f*tau} winding. Refined by minimizing the radial scatter
-    of the delay-corrected trace about its fitted circle, which is zero
-    at the true delay for ideal data.
+    Linear fits to the unwrapped phase of the outer 20% of points on
+    each side of the trace (averaged), which see mostly the
+    e^{-2i*pi*f*tau} winding. This is only a start value: _refine fits
+    tau jointly with the other six parameters.
     """
-    f = sweep.frequency_hz
-    z = sweep.s21
-    n = f.size
-    left, right = _wing_slices(n)
-
+    left, right = _wing_slices(f.size)
     slopes = []
     for sl in (left, right):
         inc = _phase_increments(z[sl])
@@ -134,26 +130,7 @@ def estimate_delay(sweep):
                            "step by ~pi; the sweep undersamples the delay winding")
         phase = np.concatenate([[0.0], np.cumsum(inc)])
         slopes.append(np.polyfit(f[sl], phase, 1)[0])
-    tau0 = -0.5 * (slopes[0] + slopes[1]) / TWO_PI
-
-    # refine: the delay-corrected trace of an ideal notch lies exactly on
-    # a circle, so radial deviation is a sharp objective in tau. Work in
-    # units of 1/span so the optimizer sees O(1) curvature.
-    span = f[-1] - f[0]
-
-    def radial_misfit(p):
-        zc = z * np.exp(1j * TWO_PI * f * (p[0] / span))
-        try:
-            center, radius = fit_circle(zc)
-        except FitError:
-            return np.full(n, 1e3)
-        return np.abs(zc - center) - radius
-
-    res = least_squares(radial_misfit, x0=[tau0 * span],
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-    if res.status <= 0:
-        raise FitError(f"delay refinement did not converge: {res.message}")
-    return float(res.x[0] / span)
+    return -0.5 * (slopes[0] + slopes[1]) / TWO_PI
 
 
 def _smooth5(values):
@@ -273,8 +250,8 @@ class ResonanceFit:
 def fit_resonance(sweep):
     """Fit the notch model to one sweep.
 
-    Pipeline: estimate_delay -> circle fit of the delay-corrected trace
-    -> arctan phase fit -> off-resonant-point calibration giving
+    Pipeline: wing-slope delay start -> circle fit of the delay-corrected
+    trace -> arctan phase fit -> off-resonant-point calibration giving
     (a, alpha, phi, |Qc|) -> simultaneous least-squares refinement of
     all seven parameters. Raises FitError when no dip stands above the
     noise floor or the refinement does not converge.
@@ -282,7 +259,7 @@ def fit_resonance(sweep):
     f = sweep.frequency_hz
     z = sweep.s21
 
-    tau0 = estimate_delay(sweep)
+    tau0 = _wing_delay(f, z)
     zc = z * np.exp(1j * TWO_PI * f * tau0)
 
     noise = _noise_floor(z)
@@ -369,7 +346,7 @@ def _refine(f, z, p0):
 
     max_nfev = 1600
     res = least_squares(residuals, pc0 / scales, method="lm",
-                        xtol=1e-10, ftol=1e-14, gtol=1e-14,
+                        xtol=1e-15, ftol=1e-14, gtol=1e-14,
                         max_nfev=max_nfev)
     cov_q = covariance(res, f"refinement (limit {max_nfev} function evaluations)")
     p = res.x * scales

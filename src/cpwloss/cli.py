@@ -64,7 +64,6 @@ class RunConfig:
     decompose: str = None
     kind: str = None
     params: dict = field(default_factory=dict)
-    design_constants: dict = field(default_factory=lambda: dict(DESIGN_CONSTANTS))
 
 
 def parse_config_file(path):
@@ -229,7 +228,7 @@ def cmd_scan(cfg):
                            (sweep.frequency_hz, mag_db, baseline))}
     dataio.write_report(_out_path(cfg, "scan_report.json"), "scan", body,
                         inputs=[dataio.provenance(sweep)],
-                        design_constants=cfg.design_constants,
+                        design_constants=DESIGN_CONSTANTS,
                         plot_data=plot_data)
     print(f"scan: {len(windows)} windows -> {_out_path(cfg, 'scan_report.json')}")
     return 0
@@ -259,8 +258,8 @@ def slice_sweep(sweep, f_lo, f_hi, label):
         raise DataError(f"window {label} [{f_lo:.6g}, {f_hi:.6g}] Hz holds only "
                         f"{int(mask.sum())} points, need >= 32")
     return replace(sweep,
-                   frequency_hz=sweep.frequency_hz[mask].copy(),
-                   s21=sweep.s21[mask].copy(),
+                   frequency_hz=sweep.frequency_hz[mask],
+                   s21=sweep.s21[mask],
                    source=f"{sweep.source or '<sweep>'}[{label}]")
 
 
@@ -314,7 +313,7 @@ def cmd_fit(cfg):
             "fits": fits, "failures": failures}
     dataio.write_report(_out_path(cfg, "fit_report.json"), "resonance_fit",
                         body, inputs=inputs,
-                        design_constants=cfg.design_constants,
+                        design_constants=DESIGN_CONSTANTS,
                         plot_data=plot_data)
     print(f"fit: {len(fits)} ok, {len(failures)} failed "
           f"-> {_out_path(cfg, 'fit_report.json')}")
@@ -355,7 +354,7 @@ def cmd_power(cfg):
     }
     dataio.write_report(_out_path(cfg, "tls_report.json"), "tls_fit", body,
                         inputs=[dataio.provenance(s) for s in sweeps],
-                        design_constants=cfg.design_constants,
+                        design_constants=DESIGN_CONSTANTS,
                         plot_data=plot_data)
     print(f"power: delta_tls={fit.delta_tls:.4g} n_c={fit.n_c:.4g} "
           f"beta={fit.beta:.3f} -> {_out_path(cfg, 'tls_report.json')}")
@@ -402,7 +401,7 @@ def cmd_budget(cfg):
             "delta_tls": dataio.qty(delta),
         }
         dataio.write_report(_out_path(cfg, "budget_report.json"), "loss_budget",
-                            body, design_constants=cfg.design_constants)
+                            body, design_constants=DESIGN_CONSTANTS)
         print(f"budget: forward delta_tls={delta:.6g} "
               f"-> {_out_path(cfg, 'budget_report.json')}")
         return 0
@@ -422,7 +421,7 @@ def cmd_budget(cfg):
         "result": result.as_dict(),
     }
     dataio.write_report(_out_path(cfg, "budget_report.json"), "loss_budget",
-                        body, design_constants=cfg.design_constants)
+                        body, design_constants=DESIGN_CONSTANTS)
     flagged = f", unresolved: {', '.join(result.unresolved)}" if result.unresolved else ""
     print(f"budget: decomposed rank {result.rank}{flagged} "
           f"-> {_out_path(cfg, 'budget_report.json')}")
@@ -470,7 +469,7 @@ def cmd_xrd(cfg):
             max(in_200, key=lambda p: p.amplitude))
     dataio.write_report(_out_path(cfg, "xrd_report.json"), "xrd", body,
                         inputs=[dataio.provenance(scan)],
-                        design_constants=cfg.design_constants,
+                        design_constants=DESIGN_CONSTANTS,
                         plot_data=plot_data)
     print(f"xrd: {len(peaks)} peaks, orientation {orientation.orientation} "
           f"-> {_out_path(cfg, 'xrd_report.json')}")
@@ -487,7 +486,7 @@ def cmd_rrr(cfg):
                         (sweep.temperature_k, sweep.resistance_ohm))}
     dataio.write_report(_out_path(cfg, "rrr_report.json"), "tc_rrr", body,
                         inputs=[dataio.provenance(sweep)],
-                        design_constants=cfg.design_constants,
+                        design_constants=DESIGN_CONSTANTS,
                         plot_data=plot_data)
     tc_text = "none" if result.tc is None else f"{result.tc:.3f} K"
     print(f"rrr: tc={tc_text} rrr={result.rrr:.3f} "
@@ -508,7 +507,7 @@ def cmd_sheet(cfg):
         body["thickness_nm"] = cfg.thickness_nm
     dataio.write_report(_out_path(cfg, "sheet_report.json"), "sheet", body,
                         inputs=[dataio.provenance(m) for m in maps],
-                        design_constants=cfg.design_constants)
+                        design_constants=DESIGN_CONSTANTS)
     print(f"sheet: {len(maps)} wafers, mean {result.batch_mean_ohm_sq:.3f} ohm/sq "
           f"-> {_out_path(cfg, 'sheet_report.json')}")
     return 0
@@ -549,7 +548,7 @@ def cmd_report(cfg):
         "skipped": skipped,
     }
     dataio.write_report(_out_path(cfg, "group_report.json"), "process_groups",
-                        body, design_constants=cfg.design_constants)
+                        body, design_constants=DESIGN_CONSTANTS)
     print(f"report: {len(pairs)} fits in {len(grouped.by_key)} process groups "
           f"-> {_out_path(cfg, 'group_report.json')}")
     return 0

@@ -13,8 +13,7 @@ has one cell per column, each a finite float() in numeric files. Errors
 name the first bad line.
 
 Parsed objects are immutable: dataclasses are frozen and their numpy
-arrays are marked read-only, so they can be shared across worker
-threads without copying.
+arrays are marked read-only.
 """
 
 import json

@@ -14,6 +14,7 @@ from scipy.special import expit
 from . import dataio
 from .circlefit import default_frequencies, notch_model, synthesize_notch
 from .errors import DataError
+from .filmchar import pseudo_voigt
 from .tlsloss import chip_power_watt, eval_tls_model
 from scipy.constants import hbar
 
@@ -205,10 +206,7 @@ def synthesize_xrd(peaks=None, baseline=(50.0, 0.0),
         if fwhm <= 0 or amplitude < 0 or not 0.0 <= eta <= 1.0:
             raise DataError(f"bad peak parameters "
                             f"({center}, {fwhm}, {amplitude}, {eta})")
-        u = x - center
-        gauss = np.exp(-4.0 * np.log(2.0) * u ** 2 / fwhm ** 2)
-        lorentz = 1.0 / (1.0 + 4.0 * u ** 2 / fwhm ** 2)
-        counts = counts + amplitude * (eta * lorentz + (1.0 - eta) * gauss)
+        counts = counts + pseudo_voigt(x, center, fwhm, amplitude, eta, 0.0, 0.0)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         counts = counts + noise_sigma * rng.standard_normal(x.size)

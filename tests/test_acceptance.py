@@ -329,3 +329,20 @@ def test_08_end_to_end(tmp_path):
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0, f"pipeline took {elapsed:.1f} s"
+
+
+def test_09_qi_error_bars_calibrated():
+    """The reported sigma_Qi matches the scatter: over the first 100 draws
+    at noise 1e-3 every fit succeeds and the pull (fit - truth)/sigma_Qi
+    has a std within [0.85, 1.15]."""
+    rng = np.random.default_rng(1)
+    param_sets = [draw_notch_params(rng) for _ in range(100)]
+    pulls = []
+    for k, p in enumerate(param_sets):
+        sweep = synthesize_notch(**p, frequencies=default_frequencies(
+            p["fr"], p["Ql"]), noise_sigma=1e-3, seed=1000 + k)
+        fit = fit_resonance(sweep)
+        qi_true = 1.0 / (1.0 / p["Ql"] - math.cos(p["phi"]) / p["Qc_mag"])
+        pulls.append((fit.Qi - qi_true) / fit.sigma["Qi"])
+    std = float(np.std(pulls))
+    assert 0.85 <= std <= 1.15, f"Qi pull std {std:.3f} at noise 1e-3"

@@ -72,14 +72,15 @@ class TestCircleFit:
 
 
 class TestDelayEstimate:
+    # the wing-slope start is refined by the joint seven-parameter fit
     def test_recovers_50ns(self):
         s = make_sweep(tau=50e-9)
-        tau = circlefit.estimate_delay(s)
+        tau = circlefit.fit_resonance(s).tau
         assert tau == pytest.approx(50e-9, rel=1e-3)
 
     def test_zero_delay(self):
         s = make_sweep(tau=0.0)
-        tau = circlefit.estimate_delay(s)
+        tau = circlefit.fit_resonance(s).tau
         assert abs(tau) < 1e-12
 
     def test_error_over_seeds(self):
@@ -87,7 +88,7 @@ class TestDelayEstimate:
         errs = []
         for seed in range(100):
             s = make_sweep(tau=50e-9, noise=1e-4, seed=seed)
-            tau = circlefit.estimate_delay(s)
+            tau = circlefit.fit_resonance(s).tau
             errs.append(abs(tau - 50e-9) / 50e-9)
         assert np.median(errs) < 0.02
         assert max(errs) < 0.06
@@ -99,7 +100,7 @@ class TestDelayEstimate:
         z = np.exp(1j * np.pi * 0.999 * np.arange(64))
         sweep = ComplexSweep(frequency_hz=f, s21=z)
         with pytest.raises(FitError) as err:
-            circlefit.estimate_delay(sweep)
+            circlefit.fit_resonance(sweep)
         assert "unwrap" in str(err.value)
 
 
