@@ -11,14 +11,14 @@ phi. fit_resonance() extracts all seven parameters by the classic
 staged procedure: a wing-slope delay start, algebraic circle fit,
 phase-vs-frequency fit, off-resonant-point calibration, then one
 simultaneous Levenberg-Marquardt refinement of all seven parameters
-(tau included) whose Jacobian provides the errors.
+(tau included) whose Jacobian provides the errors. The solver is
+imported at call time to keep CLI start-up cheap.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .dataio import ComplexSweep
 from .errors import DataError, FitError
@@ -53,7 +53,7 @@ def synthesize_notch(fr, Ql, Qc_mag, phi=0.0, a=1.0, alpha=0.0, tau=0.0,
     """
     for name, value in (("fr", fr), ("Ql", Ql), ("Qc_mag", Qc_mag), ("a", a)):
         if not value > 0:
-            raise DataError(f"{name} must be positive, got {value!r}")
+            raise DataError(f"{name} must be positive, got {float(value)!r}")
     if noise_sigma < 0:
         raise DataError("noise_sigma must be >= 0")
     if frequencies is None:
@@ -182,6 +182,7 @@ def _fit_phase(f, w, fr0, ql0):
     mean of the two end-point phases and the (fr0, ql0) guesses, with Ql
     and fr scaled by their guesses so every parameter is O(1).
     """
+    from scipy.optimize import least_squares
     inc = _phase_increments(w)
     theta = np.angle(w[0]) + np.concatenate([[0.0], np.cumsum(inc)])
     scales = np.array([1.0, ql0, fr0])
@@ -331,6 +332,7 @@ def _refine(f, z, p0):
     result and its covariance are mapped back by alpha = alpha_c +
     2*pi*f_c*tau.
     """
+    from scipy.optimize import least_squares
     span = f[-1] - f[0]
     fc = 0.5 * (f[0] + f[-1])
     scales = np.array([abs(p0[0]), abs(p0[1]), abs(p0[2]), 1.0,

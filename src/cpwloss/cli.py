@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from . import dataio, filmchar, lossbudget, stats, synth, tlsloss
 from .circlefit import default_frequencies, fit_resonance, notch_model, synthesize_notch
@@ -143,6 +142,14 @@ def parse_number(text, what):
         raise DataError(f"{what}: cannot parse '{text}' as a number") from None
 
 
+def parse_finite(text, what):
+    """parse_number(text, what), also rejecting inf and nan."""
+    number = parse_number(text, what)
+    if not np.isfinite(number):
+        raise DataError(f"{what} must be finite, got '{text}'")
+    return number
+
+
 def parse_spans(text, unit):
     """[(lo, hi), ...] from a 'lo:hi,lo:hi' string."""
     spans = []
@@ -169,6 +176,7 @@ def scan_windows(sweep, prominence_db=3.0):
     the dip center, a fitting window of +-10 estimated linewidths, and
     a proximity flag for dips closer than 50 MHz to a neighbor.
     """
+    from scipy.ndimage import median_filter
     f = sweep.frequency_hz
     mag_db = 20.0 * np.log10(np.maximum(np.abs(sweep.s21), 1e-300))
     size = max(51, 2 * (f.size // 100) + 1)
@@ -557,7 +565,10 @@ def cmd_report(cfg):
 # --------------------------------------------------------------- synth
 
 def _params_float(params, defaults):
-    """Merge string params over float defaults, rejecting unknown keys."""
+    """Merge string params over float defaults.
+
+    Unknown keys and non-finite numbers raise DataError.
+    """
     out = dict(defaults)
     for key, value in params.items():
         if key not in defaults:
@@ -566,7 +577,7 @@ def _params_float(params, defaults):
         if isinstance(defaults[key], str):
             out[key] = value
         else:
-            out[key] = parse_number(value, f"synth parameter '{key}'")
+            out[key] = parse_finite(value, f"synth parameter '{key}'")
     return out
 
 
@@ -659,7 +670,7 @@ def cmd_synth(cfg):
             fields = part.split(":")
             if len(fields) != 4:
                 raise DataError(f"peak '{part}' must be center:fwhm:amplitude:eta")
-            peaks.append(tuple(parse_number(v, f"peak '{part}'") for v in fields))
+            peaks.append(tuple(parse_finite(v, f"peak '{part}'") for v in fields))
         scan, truth = synth.synthesize_xrd(
             peaks, baseline=(p["b0"], p["b1"]), two_theta_lo=p["lo"],
             two_theta_hi=p["hi"], step=p["step"], noise_sigma=p["noise"],

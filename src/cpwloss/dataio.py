@@ -207,7 +207,8 @@ def _check_increasing(arr, what):
     if bad.size:
         i = int(bad[0])
         raise DataError(f"{what} must be strictly increasing; "
-                        f"row {i + 2} ({arr[i + 1]!r}) does not exceed row {i + 1} ({arr[i]!r})")
+                        f"row {i + 2} ({float(arr[i + 1])!r}) does not exceed "
+                        f"row {i + 1} ({float(arr[i])!r})")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DataError, FitError
 from .fitcov import covariance
@@ -114,6 +113,7 @@ def fit_peaks(scan, windows=DEFAULT_XRD_WINDOWS):
 
 
 def _fit_one_peak(x, y, window):
+    from scipy.optimize import least_squares
     lo, hi = window
     b0_init, b1_init, noise = _edge_baseline(x, y)
     detrended = y - (b0_init + b1_init * x)

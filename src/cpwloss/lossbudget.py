@@ -17,7 +17,6 @@ supplied geometries cannot separate.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DataError, FitError
 
@@ -46,7 +45,7 @@ class ParticipationRow:
         for name in ("p_sa", "p_ma", "p_ms", "p_si"):
             p = getattr(self, name)
             if not np.isfinite(p) or not 0.0 <= p <= 1.0:
-                raise DataError(f"participation {name}={p!r} must lie in [0, 1]")
+                raise DataError(f"participation {name}={float(p)!r} must lie in [0, 1]")
 
     def vector(self):
         return np.array([self.p_sa, self.p_ma, self.p_ms, self.p_si])
@@ -65,7 +64,7 @@ class InterfaceLosses:
         for name in LOSS_NAMES:
             d = getattr(self, name)
             if not np.isfinite(d) or d < 0:
-                raise DataError(f"loss tangent {name}={d!r} must be finite and >= 0")
+                raise DataError(f"loss tangent {name}={float(d)!r} must be finite and >= 0")
 
     def vector(self):
         return np.array([self.delta_sa, self.delta_ma, self.delta_ms, self.delta_si])
@@ -228,6 +227,7 @@ def decompose(rows, deltas, sigmas=None):
     x_sigma = np.full(4, np.nan)
     predicted_w = None
     if keep:
+        from scipy.optimize import nnls
         sol, _ = nnls(aw[:, keep], bw)
         x[keep] = sol
         predicted_w = aw[:, keep] @ sol

@@ -8,15 +8,12 @@ bit.
 """
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
 
 from . import dataio
 from .circlefit import default_frequencies, notch_model, synthesize_notch
 from .errors import DataError
 from .filmchar import pseudo_voigt
-from .tlsloss import chip_power_watt, eval_tls_model
-from scipy.constants import hbar
+from .tlsloss import HBAR, chip_power_watt, eval_tls_model
 
 
 def loaded_q(delta_i, qc_mag, phi):
@@ -36,10 +33,11 @@ def solve_photon_number(p_chip_w, fr, qc_mag, phi,
     bracketed by n=0 and the fully saturated limit and found with a
     root solve.
     """
+    from scipy.optimize import brentq
     if p_chip_w <= 0:
         raise DataError("chip power must be positive")
     omega = 2.0 * np.pi * fr
-    coef = (2.0 / (hbar * omega ** 2)) * p_chip_w / qc_mag
+    coef = (2.0 / (HBAR * omega ** 2)) * p_chip_w / qc_mag
 
     def g(n):
         delta = eval_tls_model(n, delta_tls, n_c, beta, delta_hp)
@@ -166,6 +164,7 @@ def synthesize_rt(tc=4.7, width=0.2, r_normal=25.0, rrr=4.0,
     whose 10-90 width equals the requested width. Returns
     (sweep, truth).
     """
+    from scipy.special import expit
     if not 0 < t_min < tc < 300.0:
         raise DataError("need 0 < t_min < tc < 300 K")
     if width <= 0 or r_normal <= 0 or rrr <= 0:

@@ -8,21 +8,22 @@ photon number as
 so the zero-power limit is delta_lp = delta_tls + delta_hp and the
 difference of the two asymptotes is exactly the TLS amplitude
 delta_tls. Fits run on log(delta) so every decade of photon number
-carries comparable weight.
+carries comparable weight. The solver is imported at call time to
+keep CLI start-up cheap.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.optimize import least_squares
 
 from .circlefit import fit_resonance
 from .errors import DataError, FitError
 from .fitcov import covariance
 
 BETA_BOUNDS = (0.1, 1.0)
+# Reduced Planck constant h/(2*pi) in J s, equal to scipy's hbar to the last bit.
+HBAR = 1.0545718176461565e-34
 
 
 def chip_power_watt(applied_power_dbm, line_attenuation_db):
@@ -46,7 +47,7 @@ def photon_number(fit, applied_power_dbm, line_attenuation_db):
         raise DataError("applied power is required to compute photon numbers")
     p_chip = chip_power_watt(applied_power_dbm, line_attenuation_db)
     omega = 2.0 * np.pi * fit.fr
-    return float((2.0 / (hbar * omega ** 2)) * (fit.Ql ** 2 / fit.Qc_mag) * p_chip)
+    return float((2.0 / (HBAR * omega ** 2)) * (fit.Ql ** 2 / fit.Qc_mag) * p_chip)
 
 
 def eval_tls_model(n, delta_tls, n_c, beta, delta_hp):
@@ -54,7 +55,7 @@ def eval_tls_model(n, delta_tls, n_c, beta, delta_hp):
     if delta_tls <= 0 or n_c <= 0 or delta_hp <= 0:
         raise DataError("TLS model parameters must be positive")
     if not 0.0 < beta <= 2.0:
-        raise DataError(f"beta={beta!r} outside (0, 2]")
+        raise DataError(f"beta={float(beta)!r} outside (0, 2]")
     n = np.asarray(n, dtype=float)
     out = delta_tls / (1.0 + n / n_c) ** beta + delta_hp
     return float(out) if out.ndim == 0 else out
@@ -71,9 +72,9 @@ class LossPoint:
 
     def __post_init__(self):
         if not self.n_photon > 0:
-            raise DataError(f"photon number must be positive, got {self.n_photon!r}")
+            raise DataError(f"photon number must be positive, got {float(self.n_photon)!r}")
         if not self.delta > 0:
-            raise DataError(f"loss must be positive, got {self.delta!r}")
+            raise DataError(f"loss must be positive, got {float(self.delta)!r}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class TlsFit:
         if self.delta_tls <= 0 or self.delta_hp <= 0 or self.n_c <= 0:
             raise FitError("TLS fit produced non-positive parameters")
         if not BETA_BOUNDS[0] <= self.beta <= BETA_BOUNDS[1]:
-            raise FitError(f"beta={self.beta!r} outside {BETA_BOUNDS}")
+            raise FitError(f"beta={float(self.beta)!r} outside {BETA_BOUNDS}")
         if self.delta_tls != self.delta_lp - self.delta_hp:
             raise FitError("delta_tls must equal delta_lp - delta_hp")
 
@@ -127,6 +128,7 @@ def fit_tls(points):
     otherwise uniform. Parameters are bounded positive with beta in
     [0.1, 1.0]; a bound-limited beta is flagged, not hidden.
     """
+    from scipy.optimize import least_squares
     points = sorted(points, key=lambda p: p.n_photon)
     if len(points) < 5:
         raise DataError(f"fit_tls needs at least 5 points for 4 parameters, "

@@ -258,6 +258,8 @@ class TestSynthesizeNotch:
             make_sweep(ql=-1.0)
         with pytest.raises(DataError):
             make_sweep(qc=0.0)
+        with pytest.raises(DataError, match=r"^Ql must be positive, got -1\.0$"):
+            make_sweep(ql=np.float64(-1.0))
 
     def test_default_grid_spans_ten_linewidths(self):
         s = make_sweep(fr=6e9, ql=6e4)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +250,19 @@ class TestBudget:
         assert len(body["result"]["unresolved"]) > 0
         assert len(body["result"]["resolved_combinations"]) == 3
 
+    def test_table_error_prints_plain_number(self, tmp_path, capsys):
+        table = tmp_path / "ptable.dat"
+        table.write_text("trench_nm p_sa p_ma p_ms p_si\n"
+                         "0 2 4.95e-5 5.93e-4 0.907\n"
+                         "100 2.51e-4 1.77e-5 5.04e-4 0.903\n")
+        measured = tmp_path / "measured.dat"
+        measured.write_text("trench_nm delta\n0 1e-6\n25 1e-6\n50 1e-6\n100 1e-6\n")
+        assert run("budget", "--decompose", measured, "--table", table,
+                   "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert "participation p_sa=2.0 must lie in [0, 1]" in err
+        assert "np.float64" not in err
+
 
 class TestFilmCommands:
     def test_xrd_single_phase(self, tmp_path):
@@ -381,12 +396,12 @@ class TestErrors:
 class TestBadNumbers:
     """A bad number in an argument ends in one error line, not a traceback."""
 
-    def assert_one_error(self, capsys, command):
+    def assert_one_error(self, capsys, command, text="cannot parse"):
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"cpwloss {command}: error: ")
-        assert "cannot parse" in lines[0]
+        assert text in lines[0]
         assert "Traceback" not in captured.err + captured.out
 
     def test_synth_param(self, tmp_path, capsys):
@@ -413,3 +428,30 @@ class TestBadNumbers:
         assert run("xrd", tmp_path / "xrd.dat", "--windows", "1:x",
                    "--out", tmp_path) == 1
         self.assert_one_error(capsys, "xrd")
+
+    @pytest.mark.parametrize("kind,param", [
+        ("notch", "noise=inf"), ("notch", "fr=nan"), ("feedline", "noise=nan"),
+        ("rt", "noise=inf"), ("xrd", "noise=-inf"), ("power_series", "noise=nan"),
+    ])
+    def test_synth_non_finite(self, tmp_path, capsys, kind, param):
+        key, value = param.split("=")
+        assert run("synth", kind, param, "--out", tmp_path) == 1
+        self.assert_one_error(
+            capsys, "synth", f"synth parameter '{key}' must be finite, got '{value}'")
+        assert not (tmp_path / "truth.json").exists()
+
+    def test_synth_xrd_peak_non_finite(self, tmp_path, capsys):
+        assert run("synth", "xrd", "peaks=36.9:inf:500:0.3", "--out", tmp_path) == 1
+        self.assert_one_error(
+            capsys, "synth", "peak '36.9:inf:500:0.3' must be finite, got 'inf'")
+
+
+def test_cli_import_loads_no_scipy():
+    """`import cpwloss.cli` loads no scipy module; solvers load when called."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import cpwloss.cli, sys; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.strip() == "[]"

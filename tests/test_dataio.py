@@ -39,6 +39,14 @@ class TestSweepParsing:
         np.testing.assert_allclose(s2.s21, s.s21, rtol=1e-12)
         assert s2.power_dbm == s.power_dbm
 
+    def test_repeated_frequency_prints_plain_numbers(self, tmp_path):
+        text = replace_line(sweep_text(), 6, "5000001000 0.9 0.01")
+        with pytest.raises(ParseError) as err:
+            dataio.parse_sweep_file(write(tmp_path / "s.dat", text))
+        assert ("row 3 (5000001000.0) does not exceed row 2 (5000001000.0)"
+                in str(err.value))
+        assert "np.float64" not in str(err.value)
+
     def test_db_phase_format(self, tmp_path):
         lines = ["#format=db_phase", "frequency_hz s21_mag_db s21_phase_rad"]
         for k in range(35):

@@ -43,10 +43,16 @@ class TestValidation:
             ParticipationRow(trench_nm=0.0, p_sa=1.5, p_ma=0.0, p_ms=0.0, p_si=0.5)
         with pytest.raises(DataError):
             ParticipationRow(trench_nm=-1.0, p_sa=0.1, p_ma=0.0, p_ms=0.0, p_si=0.5)
+        with pytest.raises(DataError, match=r"^participation p_sa=2\.0 must lie in \[0, 1\]$"):
+            ParticipationRow(trench_nm=0.0, p_sa=np.float64(2.0), p_ma=0.0,
+                             p_ms=0.0, p_si=0.5)
 
     def test_negative_loss_tangent(self):
         with pytest.raises(DataError):
             InterfaceLosses(delta_sa=-1e-3, delta_ma=0.0, delta_ms=0.0, delta_si=0.0)
+        with pytest.raises(DataError, match=r"^loss tangent delta_sa=-0\.001 must be finite"):
+            InterfaceLosses(delta_sa=np.float64(-1e-3), delta_ma=0.0,
+                            delta_ms=0.0, delta_si=0.0)
 
     def test_table_needs_sorted_rows(self):
         r = lambda t: ParticipationRow(trench_nm=t, p_sa=1e-4, p_ma=1e-5,

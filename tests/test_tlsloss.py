@@ -53,6 +53,10 @@ class TestPhotonNumber:
         with pytest.raises(DataError):
             tlsloss.photon_number(fit, -80.0, -5.0)
 
+    def test_hbar_is_scipy_exact(self):
+        from scipy.constants import hbar
+        assert tlsloss.HBAR == hbar
+
     def test_chip_power(self):
         # 0 dBm through 30 dB of line = -30 dBm = 1 microwatt
         assert tlsloss.chip_power_watt(0.0, 30.0) == pytest.approx(1e-6, rel=1e-12)
@@ -80,6 +84,12 @@ class TestEvalModel:
             tlsloss.eval_tls_model(1.0, -1e-6, 10.0, 0.5, 3e-7)
         with pytest.raises(DataError):
             tlsloss.eval_tls_model(1.0, 1e-6, 10.0, 2.5, 3e-7)
+        with pytest.raises(DataError, match=r"^beta=2\.5 outside"):
+            tlsloss.eval_tls_model(1.0, 1e-6, 10.0, np.float64(2.5), 3e-7)
+        with pytest.raises(DataError, match=r"^photon number must be positive, got -1\.0$"):
+            tlsloss.LossPoint(n_photon=np.float64(-1.0), delta=1e-6)
+        with pytest.raises(DataError, match=r"^loss must be positive, got 0\.0$"):
+            tlsloss.LossPoint(n_photon=1.0, delta=np.float64(0.0))
 
 
 def series_from_model(delta_tls, n_c, beta, delta_hp, n_points=20,
