@@ -135,16 +135,14 @@ def parse_params(pairs):
 
 
 def parse_number(text, what):
-    """float(text), or a DataError that names what was being read."""
+    """float(text), or a DataError that names what was being read.
+
+    inf and nan are rejected too: no caller has a use for them.
+    """
     try:
-        return float(text)
+        number = float(text)
     except ValueError:
         raise DataError(f"{what}: cannot parse '{text}' as a number") from None
-
-
-def parse_finite(text, what):
-    """parse_number(text, what), also rejecting inf and nan."""
-    number = parse_number(text, what)
     if not np.isfinite(number):
         raise DataError(f"{what} must be finite, got '{text}'")
     return number
@@ -577,7 +575,7 @@ def _params_float(params, defaults):
         if isinstance(defaults[key], str):
             out[key] = value
         else:
-            out[key] = parse_finite(value, f"synth parameter '{key}'")
+            out[key] = parse_number(value, f"synth parameter '{key}'")
     return out
 
 
@@ -670,7 +668,7 @@ def cmd_synth(cfg):
             fields = part.split(":")
             if len(fields) != 4:
                 raise DataError(f"peak '{part}' must be center:fwhm:amplitude:eta")
-            peaks.append(tuple(parse_finite(v, f"peak '{part}'") for v in fields))
+            peaks.append(tuple(parse_number(v, f"peak '{part}'") for v in fields))
         scan, truth = synth.synthesize_xrd(
             peaks, baseline=(p["b0"], p["b1"]), two_theta_lo=p["lo"],
             two_theta_hi=p["hi"], step=p["step"], noise_sigma=p["noise"],

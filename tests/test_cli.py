@@ -440,6 +440,22 @@ class TestBadNumbers:
             capsys, "synth", f"synth parameter '{key}' must be finite, got '{value}'")
         assert not (tmp_path / "truth.json").exists()
 
+    @pytest.mark.parametrize("spans,bad", [("nan:nan", "nan"), ("0:inf", "inf")])
+    def test_fit_windows_non_finite(self, tmp_path, capsys, spans, bad):
+        assert run("synth", "notch", "--out", tmp_path) == 0
+        capsys.readouterr()
+        assert run("fit", tmp_path / "notch.dat", "--windows", spans,
+                   "--out", tmp_path) == 1
+        self.assert_one_error(
+            capsys, "fit", f"window '{spans}' must be finite, got '{bad}'")
+
+    def test_budget_losses_non_finite(self, tmp_path, capsys):
+        path = tmp_path / "losses.cfg"
+        path.write_text("delta_sa=inf\ndelta_ma=1e-3\ndelta_ms=1e-3\ndelta_si=1e-7\n")
+        assert run("budget", "--losses", path, "--trench-nm", 0,
+                   "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "budget", "delta_sa must be finite, got 'inf'")
+
     def test_synth_xrd_peak_non_finite(self, tmp_path, capsys):
         assert run("synth", "xrd", "peaks=36.9:inf:500:0.3", "--out", tmp_path) == 1
         self.assert_one_error(

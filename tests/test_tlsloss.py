@@ -1,5 +1,6 @@
 """Photon-number conversion and TLS saturation fitting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -145,6 +146,11 @@ class TestFitTls:
                for k, v in enumerate(n)]
         with pytest.raises(FitError):
             tlsloss.fit_tls(pts)
+
+    def test_out_of_bounds_beta_rejected(self):
+        fit = tlsloss.fit_tls(series_from_model(3e-6, 10.0, 0.5, 4e-7))
+        with pytest.raises(FitError, match=r"^beta=2\.5 outside \(0\.1, 1\.0\)$"):
+            dataclasses.replace(fit, beta=np.float64(2.5))
 
     def test_few_points_warns(self):
         pts = series_from_model(3e-6, 10.0, 0.5, 4e-7, n_points=5)
