@@ -449,13 +449,6 @@ class TestBadNumbers:
         self.assert_one_error(
             capsys, "fit", f"window '{spans}' must be finite, got '{bad}'")
 
-    def test_budget_losses_non_finite(self, tmp_path, capsys):
-        path = tmp_path / "losses.cfg"
-        path.write_text("delta_sa=inf\ndelta_ma=1e-3\ndelta_ms=1e-3\ndelta_si=1e-7\n")
-        assert run("budget", "--losses", path, "--trench-nm", 0,
-                   "--out", tmp_path) == 1
-        self.assert_one_error(capsys, "budget", "delta_sa must be finite, got 'inf'")
-
     def test_synth_xrd_peak_non_finite(self, tmp_path, capsys):
         assert run("synth", "xrd", "peaks=36.9:inf:500:0.3", "--out", tmp_path) == 1
         self.assert_one_error(
