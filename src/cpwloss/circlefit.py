@@ -232,21 +232,6 @@ class ResonanceFit:
     sigma: dict
     n_points: int = 0
 
-    def as_dict(self):
-        return {
-            "fr": self.fr,
-            "Ql": self.Ql,
-            "Qc_mag": self.Qc_mag,
-            "phi": self.phi,
-            "Qi": self.Qi,
-            "a": self.a,
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "rms_residual": self.rms_residual,
-            "sigma": dict(self.sigma),
-            "n_points": self.n_points,
-        }
-
 
 def fit_resonance(sweep):
     """Fit the notch model to one sweep.

@@ -34,14 +34,6 @@ from .errors import CpwLossError, DataError, FitError
 # Seed used by synth and anything stochastic when none is given.
 DEFAULT_SEED = 12345
 
-# Chip design values carried into every report for traceability.
-DESIGN_CONSTANTS = {
-    "conductor_width_um": 10.0,
-    "gap_um": 6.0,
-    "target_coupling_bandwidth_mhz": 0.36,
-    "target_q_ext": 5.0e5,
-}
-
 PROXIMITY_LIMIT_HZ = 50e6  # nominal resonator spacing is 200 MHz
 
 
@@ -99,13 +91,15 @@ def build_config(args):
     for key, cast in _CONFIG_TYPES.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = flag
+            text, what = flag, "--" + key.replace("_", "-")
         elif key in file_values:
-            try:
-                merged[key] = cast(file_values[key])
-            except ValueError:
-                raise DataError(f"config key {key}: cannot parse "
-                                f"'{file_values[key]}' as {cast.__name__}") from None
+            text, what = file_values[key], f"config key {key}"
+        else:
+            continue
+        try:
+            merged[key] = parse_number(text, what) if cast is float else cast(text)
+        except ValueError:
+            raise DataError(f"{what}: cannot parse '{text}' as {cast.__name__}") from None
     return RunConfig(
         command=args.command,
         inputs=tuple(getattr(args, "inputs", ()) or ()),
@@ -233,9 +227,7 @@ def cmd_scan(cfg):
     plot_data = {"trace": (("frequency_hz", "s21_mag_db", "baseline_db"),
                            (sweep.frequency_hz, mag_db, baseline))}
     dataio.write_report(_out_path(cfg, "scan_report.json"), "scan", body,
-                        inputs=[dataio.provenance(sweep)],
-                        design_constants=DESIGN_CONSTANTS,
-                        plot_data=plot_data)
+                        inputs=[sweep], plot_data=plot_data)
     print(f"scan: {len(windows)} windows -> {_out_path(cfg, 'scan_report.json')}")
     return 0
 
@@ -295,17 +287,14 @@ def cmd_fit(cfg):
         if isinstance(sweep, Exception):
             failures.append({"item": label, "error": str(sweep)})
             continue
-        inputs.append(dataio.provenance(sweep))
+        inputs.append(sweep)
         try:
             outcome = fit_resonance(sweep)
         except CpwLossError as exc:
             failures.append({"item": label, "error": str(exc)})
             continue
-        entry = outcome.as_dict()
-        entry["item"] = label
-        entry["resonator_id"] = sweep.resonator_id
-        entry["source"] = sweep.source
-        fits.append(entry)
+        fits.append(dict(vars(outcome), item=label,
+                         resonator_id=sweep.resonator_id, source=sweep.source))
         model = notch_model(sweep.frequency_hz, outcome.fr, outcome.Ql,
                             outcome.Qc_mag, outcome.phi, outcome.a,
                             outcome.alpha, outcome.tau)
@@ -318,9 +307,7 @@ def cmd_fit(cfg):
     body = {"n_fits": len(fits), "n_failures": len(failures),
             "fits": fits, "failures": failures}
     dataio.write_report(_out_path(cfg, "fit_report.json"), "resonance_fit",
-                        body, inputs=inputs,
-                        design_constants=DESIGN_CONSTANTS,
-                        plot_data=plot_data)
+                        body, inputs=inputs, plot_data=plot_data)
     print(f"fit: {len(fits)} ok, {len(failures)} failed "
           f"-> {_out_path(cfg, 'fit_report.json')}")
     if failures:
@@ -348,10 +335,8 @@ def cmd_power(cfg):
         "process": str(process) if process else None,
         "attenuation_db": cfg.attenuation_db if cfg.attenuation_db is not None
                           else sweeps[0].attenuation_db,
-        "tls_fit": fit.as_dict(),
-        "points": [{"n_photon": p.n_photon, "delta": p.delta,
-                    "sigma_delta": p.sigma_delta, "source": p.source}
-                   for p in points],
+        "tls_fit": fit,
+        "points": points,
         "diagnostics": diagnostics,
     }
     plot_data = {
@@ -359,9 +344,7 @@ def cmd_power(cfg):
         "model_curve": (("n_photon", "delta_model"), (n_grid, curve)),
     }
     dataio.write_report(_out_path(cfg, "tls_report.json"), "tls_fit", body,
-                        inputs=[dataio.provenance(s) for s in sweeps],
-                        design_constants=DESIGN_CONSTANTS,
-                        plot_data=plot_data)
+                        inputs=sweeps, plot_data=plot_data)
     print(f"power: delta_tls={fit.delta_tls:.4g} n_c={fit.n_c:.4g} "
           f"beta={fit.beta:.3f} -> {_out_path(cfg, 'tls_report.json')}")
     if diagnostics:
@@ -372,11 +355,6 @@ def cmd_power(cfg):
 
 
 # -------------------------------------------------------------- budget
-
-def _row_dict(row):
-    return {"trench_nm": row.trench_nm, "p_sa": row.p_sa, "p_ma": row.p_ma,
-            "p_ms": row.p_ms, "p_si": row.p_si}
-
 
 def cmd_budget(cfg):
     if (cfg.losses is None) == (cfg.decompose is None):
@@ -401,13 +379,11 @@ def cmd_budget(cfg):
         body = {
             "mode": "forward",
             "trench_nm": cfg.trench_nm,
-            "participation": _row_dict(row),
-            "losses": {name: getattr(losses, name)
-                       for name in lossbudget.LOSS_NAMES},
+            "participation": row,
+            "losses": losses,
             "delta_tls": dataio.qty(delta),
         }
-        dataio.write_report(_out_path(cfg, "budget_report.json"), "loss_budget",
-                            body, design_constants=DESIGN_CONSTANTS)
+        dataio.write_report(_out_path(cfg, "budget_report.json"), "loss_budget", body)
         print(f"budget: forward delta_tls={delta:.6g} "
               f"-> {_out_path(cfg, 'budget_report.json')}")
         return 0
@@ -422,12 +398,11 @@ def cmd_budget(cfg):
     result = lossbudget.decompose(prows, deltas, sigmas)
     body = {
         "mode": "decompose",
-        "rows": [_row_dict(r) for r in prows],
-        "deltas": list(deltas),
-        "result": result.as_dict(),
+        "rows": prows,
+        "deltas": deltas,
+        "result": result,
     }
-    dataio.write_report(_out_path(cfg, "budget_report.json"), "loss_budget",
-                        body, design_constants=DESIGN_CONSTANTS)
+    dataio.write_report(_out_path(cfg, "budget_report.json"), "loss_budget", body)
     flagged = f", unresolved: {', '.join(result.unresolved)}" if result.unresolved else ""
     print(f"budget: decomposed rank {result.rank}{flagged} "
           f"-> {_out_path(cfg, 'budget_report.json')}")
@@ -461,22 +436,16 @@ def cmd_xrd(cfg):
     orientation = filmchar.classify_orientation(peaks)
     body = {
         "windows": [[float(w[0]), float(w[1])] for w in windows],
-        "peaks": [p.as_dict() for p in peaks],
-        "orientation": orientation.as_dict(),
+        "peaks": peaks,
+        "orientation": orientation,
         "diagnostics": diagnostics,
     }
-    in_111 = [p for p in peaks
-              if filmchar.BAND_111[0] <= p.center <= filmchar.BAND_111[1]]
-    in_200 = [p for p in peaks
-              if filmchar.BAND_200[0] <= p.center <= filmchar.BAND_200[1]]
-    if in_111 and in_200:
-        body["grain_ratio_111_over_200"] = filmchar.scherrer_ratio(
-            max(in_111, key=lambda p: p.amplitude),
-            max(in_200, key=lambda p: p.amplitude))
+    p111 = filmchar.strongest_in_band(peaks, filmchar.BAND_111)
+    p200 = filmchar.strongest_in_band(peaks, filmchar.BAND_200)
+    if p111 and p200:
+        body["grain_ratio_111_over_200"] = filmchar.scherrer_ratio(p111, p200)
     dataio.write_report(_out_path(cfg, "xrd_report.json"), "xrd", body,
-                        inputs=[dataio.provenance(scan)],
-                        design_constants=DESIGN_CONSTANTS,
-                        plot_data=plot_data)
+                        inputs=[scan], plot_data=plot_data)
     print(f"xrd: {len(peaks)} peaks, orientation {orientation.orientation} "
           f"-> {_out_path(cfg, 'xrd_report.json')}")
     return 0
@@ -487,13 +456,11 @@ def cmd_xrd(cfg):
 def cmd_rrr(cfg):
     sweep = dataio.parse_rt_file(cfg.inputs[0])
     result = filmchar.extract_tc_rrr(sweep)
-    body = {"tc_rrr": result.as_dict()}
+    body = {"tc_rrr": result}
     plot_data = {"rt": (("temperature_k", "resistance_ohm"),
                         (sweep.temperature_k, sweep.resistance_ohm))}
     dataio.write_report(_out_path(cfg, "rrr_report.json"), "tc_rrr", body,
-                        inputs=[dataio.provenance(sweep)],
-                        design_constants=DESIGN_CONSTANTS,
-                        plot_data=plot_data)
+                        inputs=[sweep], plot_data=plot_data)
     tc_text = "none" if result.tc is None else f"{result.tc:.3f} K"
     print(f"rrr: tc={tc_text} rrr={result.rrr:.3f} "
           f"-> {_out_path(cfg, 'rrr_report.json')}")
@@ -505,15 +472,14 @@ def cmd_rrr(cfg):
 def cmd_sheet(cfg):
     maps = dataio.parse_sheet_file(cfg.inputs[0])
     result = filmchar.sheet_stats(maps)
-    body = {"sheet_stats": result.as_dict(), "n_wafers": len(maps)}
+    body = {"sheet_stats": result, "n_wafers": len(maps)}
     if cfg.thickness_nm is not None:
         body["resistivity_uohm_cm"] = dataio.qty(
             filmchar.resistivity(result.batch_mean_ohm_sq, cfg.thickness_nm),
             unit="uohm_cm")
         body["thickness_nm"] = cfg.thickness_nm
     dataio.write_report(_out_path(cfg, "sheet_report.json"), "sheet", body,
-                        inputs=[dataio.provenance(m) for m in maps],
-                        design_constants=DESIGN_CONSTANTS)
+                        inputs=maps)
     print(f"sheet: {len(maps)} wafers, mean {result.batch_mean_ohm_sq:.3f} ohm/sq "
           f"-> {_out_path(cfg, 'sheet_report.json')}")
     return 0
@@ -535,14 +501,19 @@ def cmd_report(cfg):
                 doc = dataio.read_report(path)
             except CpwLossError:
                 continue
-            if doc.get("report_kind") != "tls_fit":
+            if not isinstance(doc, dict) or doc.get("report_kind") != "tls_fit":
                 continue
-            process_text = doc.get("body", {}).get("process")
-            if not process_text:
+            body = doc.get("body")
+            process_text = body.get("process") if isinstance(body, dict) else None
+            if not isinstance(process_text, str) or not process_text:
                 skipped.append({"path": path, "reason": "no process key"})
                 continue
-            key = dataio.parse_process(process_text)
-            pairs.append((key, doc["body"]["tls_fit"]["delta_lp"]))
+            fit = body.get("tls_fit")
+            delta_lp = fit.get("delta_lp") if isinstance(fit, dict) else None
+            if type(delta_lp) not in (int, float) or not np.isfinite(delta_lp):
+                skipped.append({"path": path, "reason": "no finite delta_lp"})
+                continue
+            pairs.append((dataio.parse_process(process_text), delta_lp))
     if not pairs:
         raise DataError(f"{root}: no TLS fit reports with process keys found "
                         f"({len(skipped)} skipped)")
@@ -550,11 +521,10 @@ def cmd_report(cfg):
     body = {
         "metric": "delta_lp",
         "n_reports": len(pairs),
-        "groups": grouped.as_dict(),
+        "groups": grouped,
         "skipped": skipped,
     }
-    dataio.write_report(_out_path(cfg, "group_report.json"), "process_groups",
-                        body, design_constants=DESIGN_CONSTANTS)
+    dataio.write_report(_out_path(cfg, "group_report.json"), "process_groups", body)
     print(f"report: {len(pairs)} fits in {len(grouped.by_key)} process groups "
           f"-> {_out_path(cfg, 'group_report.json')}")
     return 0
@@ -709,8 +679,8 @@ def build_parser():
     p = sub.add_parser("scan", parents=[common],
                        help="find resonance dips on a wideband trace")
     p.add_argument("inputs", nargs=1, metavar="SWEEP")
-    p.add_argument("--prominence-db", dest="prominence_db", type=float,
-                   default=None, help="dip depth threshold (default 3 dB)")
+    p.add_argument("--prominence-db", dest="prominence_db", default=None,
+                   help="dip depth threshold (default 3 dB)")
 
     p = sub.add_parser("fit", parents=[common], help="fit notch resonances")
     p.add_argument("inputs", nargs="+", metavar="SWEEP")
@@ -720,12 +690,12 @@ def build_parser():
     p = sub.add_parser("power", parents=[common],
                        help="TLS saturation fit over a power series")
     p.add_argument("inputs", nargs="+", metavar="SWEEP")
-    p.add_argument("--attenuation-db", dest="attenuation_db", type=float,
-                   default=None, help="input line attenuation in dB")
+    p.add_argument("--attenuation-db", dest="attenuation_db", default=None,
+                   help="input line attenuation in dB")
 
     p = sub.add_parser("budget", parents=[common],
                        help="interface loss budget (forward or decompose)")
-    p.add_argument("--trench-nm", dest="trench_nm", type=float, default=None)
+    p.add_argument("--trench-nm", dest="trench_nm", default=None)
     p.add_argument("--losses", default=None,
                    help="key=value file with delta_sa/ma/ms/si (forward mode)")
     p.add_argument("--decompose", default=None,
@@ -746,8 +716,8 @@ def build_parser():
     p = sub.add_parser("sheet", parents=[common],
                        help="sheet resistance uniformity statistics")
     p.add_argument("inputs", nargs=1, metavar="SHEET")
-    p.add_argument("--thickness-nm", dest="thickness_nm", type=float,
-                   default=None, help="film thickness for resistivity")
+    p.add_argument("--thickness-nm", dest="thickness_nm", default=None,
+                   help="film thickness for resistivity")
 
     p = sub.add_parser("report", parents=[common],
                        help="group TLS fit reports by fabrication process")

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -479,17 +479,13 @@ def write_sweep_file(path, sweep, fmt="complex"):
         raise DataError(f"unknown sweep format '{fmt}'")
 
 
-def write_rt_file(path, sweep, extra_header=None):
-    header = dict(sweep.header)
-    header.update(extra_header or {})
-    write_rows(path, header, ("temperature_k", "resistance_ohm"),
+def write_rt_file(path, sweep):
+    write_rows(path, sweep.header, ("temperature_k", "resistance_ohm"),
                (sweep.temperature_k, sweep.resistance_ohm))
 
 
-def write_xrd_file(path, scan, extra_header=None):
-    header = dict(scan.header)
-    header.update(extra_header or {})
-    write_rows(path, header, ("two_theta_deg", "counts"),
+def write_xrd_file(path, scan):
+    write_rows(path, scan.header, ("two_theta_deg", "counts"),
                (scan.two_theta_deg, scan.counts))
 
 
@@ -516,27 +512,38 @@ def write_sheet_file(path, maps):
 # ---------------------------------------------------------------------------
 # analysis reports
 
+# Chip design values carried into every report for traceability.
+DESIGN_CONSTANTS = {
+    "conductor_width_um": 10.0,
+    "gap_um": 6.0,
+    "target_coupling_bandwidth_mhz": 0.36,
+    "target_q_ext": 5.0e5,
+}
+
+
 def provenance(obj):
     """Provenance record for one parsed input: path plus its full header."""
     return {"path": getattr(obj, "source", None),
             "header": dict(getattr(obj, "header", {}) or {})}
 
 
-def write_report(path, kind, body, inputs=(), design_constants=None,
-                 plot_data=None):
+def write_report(path, kind, body, inputs=(), plot_data=None):
     """Write one machine-readable analysis report plus plot-data companions.
 
-    body is a nested dict whose leaves are produced by qty() (value,
-    unit, optional sigma) or plain JSON values. plot_data maps a short
-    name to (column_names, columns); each becomes a columnar text file
-    next to the report named <report stem>_<name>.dat. Returns the list
-    of paths written.
+    body is a nested dict whose leaves are qty() entries, plain JSON
+    values or result dataclasses; a dataclass is written as an object
+    of its fields in declaration order (see _sanitize). inputs are the
+    parsed input objects, each recorded by provenance(); every report
+    also carries DESIGN_CONSTANTS. plot_data maps a short name to
+    (column_names, columns); each becomes a columnar text file next to
+    the report named <report stem>_<name>.dat. Returns the list of
+    paths written.
     """
     doc = {
         "report_kind": kind,
         "format_version": 1,
-        "inputs": [provenance(o) if not isinstance(o, dict) else o for o in inputs],
-        "design_constants": dict(design_constants or {}),
+        "inputs": [provenance(o) for o in inputs],
+        "design_constants": DESIGN_CONSTANTS,
         "body": body,
     }
     written = [str(path)]
@@ -555,8 +562,12 @@ def write_report(path, kind, body, inputs=(), design_constants=None,
 
 
 def _sanitize(obj):
-    """Make a nested structure JSON-safe: numpy scalars to Python,
-    non-finite floats to null, tuples to lists."""
+    """Make a nested structure JSON-safe: dataclass instances to objects
+    of their fields in declaration order, dict keys to str (a ProcessKey
+    key reads "A/HP/HT/none"), tuples and arrays to lists, numpy scalars
+    to Python, non-finite floats to null."""
+    if is_dataclass(obj):
+        return {f.name: _sanitize(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

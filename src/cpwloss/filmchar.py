@@ -66,19 +66,6 @@ class PeakFit:
         if not 0.0 <= self.eta <= 1.0:
             raise DataError("eta must lie in [0, 1]")
 
-    def as_dict(self):
-        return {
-            "center": self.center,
-            "fwhm": self.fwhm,
-            "amplitude": self.amplitude,
-            "eta": self.eta,
-            "baseline_intercept": self.baseline_intercept,
-            "baseline_slope": self.baseline_slope,
-            "sigma": dict(self.sigma),
-            "window": list(self.window),
-            "rms_residual": self.rms_residual,
-        }
-
 
 def _edge_baseline(x, y):
     """Linear baseline through the window edges and the noise about it."""
@@ -181,12 +168,11 @@ class OrientationResult:
     shift_111_deg: float = None  # center - 36.6 when a (111) peak is present
     shift_200_deg: float = None  # center - 42.6 when a (200) peak is present
 
-    def as_dict(self):
-        return {
-            "orientation": self.orientation,
-            "shift_111_deg": self.shift_111_deg,
-            "shift_200_deg": self.shift_200_deg,
-        }
+
+def strongest_in_band(peaks, band):
+    """The highest-amplitude peak centered in band (lo, hi), or None."""
+    inside = [p for p in peaks if band[0] <= p.center <= band[1]]
+    return max(inside, key=lambda p: p.amplitude) if inside else None
 
 
 def classify_orientation(peaks):
@@ -196,12 +182,8 @@ def classify_orientation(peaks):
     (200); both present means mixed orientation. Shifts are reported
     against the 36.6/42.6 degree literature positions.
     """
-    def pick(band):
-        inside = [p for p in peaks if band[0] <= p.center <= band[1]]
-        return max(inside, key=lambda p: p.amplitude) if inside else None
-
-    p111 = pick(BAND_111)
-    p200 = pick(BAND_200)
+    p111 = strongest_in_band(peaks, BAND_111)
+    p200 = strongest_in_band(peaks, BAND_200)
     if p111 and p200:
         orientation = "Mixed"
     elif p111:
@@ -245,16 +227,6 @@ class SheetStats:
     n_wafers: int
     per_wafer: dict
     per_site: dict
-
-    def as_dict(self):
-        return {
-            "batch_mean_ohm_sq": self.batch_mean_ohm_sq,
-            "max_wafer_rel_std_pct": self.max_wafer_rel_std_pct,
-            "max_site_rel_std_pct": self.max_site_rel_std_pct,
-            "n_wafers": self.n_wafers,
-            "per_wafer": dict(self.per_wafer),
-            "per_site": dict(self.per_site),
-        }
 
 
 def _rel_std_pct(values):
@@ -324,16 +296,6 @@ class TcResult:
     r_300k: float
     rrr: float
     flags: tuple = ()
-
-    def as_dict(self):
-        return {
-            "tc": self.tc,
-            "transition_width": self.transition_width,
-            "r_normal": self.r_normal,
-            "r_300k": self.r_300k,
-            "rrr": self.rrr,
-            "flags": list(self.flags),
-        }
 
 
 def extract_tc_rrr(sweep):

@@ -161,18 +161,6 @@ class DecomposeResult:
     predicted: np.ndarray
     resolved_combinations: tuple = ()
 
-    def as_dict(self):
-        return {
-            "losses": dict(self.losses),
-            "sigma": dict(self.sigma),
-            "unresolved": list(self.unresolved),
-            "rank": self.rank,
-            "condition_number": self.condition_number,
-            "residual_rms": self.residual_rms,
-            "predicted": [float(v) for v in self.predicted],
-            "resolved_combinations": [dict(c) for c in self.resolved_combinations],
-        }
-
 
 def decompose(rows, deltas, sigmas=None):
     """Invert the forward loss model over several geometries.

@@ -27,20 +27,6 @@ class BoxSummary:
     whisker_high: float
     outliers: tuple = ()
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-            "iqr": self.iqr,
-            "lower_fence": self.lower_fence,
-            "upper_fence": self.upper_fence,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outliers": list(self.outliers),
-        }
-
 
 def box_summary(values):
     """Five-number box summary with 1.5*IQR outlier fences.
@@ -86,17 +72,6 @@ class GroupedStats:
     by_strip: dict
     by_depo: dict
 
-    def as_dict(self):
-        def keyed(d):
-            return {str(k): v.as_dict() for k, v in d.items()}
-
-        return {
-            "by_key": keyed(self.by_key),
-            "by_etch": keyed(self.by_etch),
-            "by_strip": keyed(self.by_strip),
-            "by_depo": keyed(self.by_depo),
-        }
-
 
 def group_by_process(results):
     """Group (ProcessKey, value) pairs and summarize each group.
@@ -128,14 +103,6 @@ class MedianComparison:
     lower: str  # "a", "b" or "equal"
     median_a: float
     median_b: float
-
-    def as_dict(self):
-        return {
-            "ratio": self.ratio,
-            "lower": self.lower,
-            "median_a": self.median_a,
-            "median_b": self.median_b,
-        }
 
 
 def compare_medians(a, b):

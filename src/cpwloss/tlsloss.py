@@ -106,19 +106,6 @@ class TlsFit:
         if self.delta_tls != self.delta_lp - self.delta_hp:
             raise FitError("delta_tls must equal delta_lp - delta_hp")
 
-    def as_dict(self):
-        return {
-            "delta_tls": self.delta_tls,
-            "delta_hp": self.delta_hp,
-            "delta_lp": self.delta_lp,
-            "n_c": self.n_c,
-            "beta": self.beta,
-            "sigma": dict(self.sigma),
-            "rms_residual": self.rms_residual,
-            "beta_clamped": self.beta_clamped,
-            "n_points": self.n_points,
-        }
-
 
 def fit_tls(points):
     """Fit the saturation model to (photon number, loss) points.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpwloss import circlefit
+from cpwloss import circlefit, dataio
 from cpwloss.errors import DataError, FitError
 
 
@@ -234,9 +234,11 @@ class TestFitResonance:
         with pytest.warns(UserWarning):
             circlefit.fit_resonance(s)
 
-    def test_as_dict(self):
+    def test_report_record(self, tmp_path):
         fit = circlefit.fit_resonance(make_sweep())
-        d = fit.as_dict()
+        path = tmp_path / "r.json"
+        dataio.write_report(path, "demo", {"fit": fit})
+        d = dataio.read_report(path)["body"]["fit"]
         assert d["fr"] == fit.fr
         assert d["sigma"]["Ql"] == fit.sigma["Ql"]
         assert d["n_points"] == 1001

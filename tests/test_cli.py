@@ -324,6 +324,24 @@ class TestReport:
         group = body["groups"]["by_key"]["B/HP/HT/BOE"]
         assert group["n"] == 2
 
+    def test_malformed_reports_skipped(self, tmp_path):
+        def tls_report(name, tls_fit):
+            body = {"process": "B/HP/HT/BOE", "tls_fit": tls_fit}
+            (tmp_path / name).write_text(json.dumps(
+                {"report_kind": "tls_fit", "body": body}))
+
+        tls_report("good.json", {"delta_lp": 4e-6})
+        tls_report("no_fit.json", None)
+        tls_report("text.json", {"delta_lp": "big"})
+        (tmp_path / "list.json").write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert run("report", tmp_path, "--out", out) == 0
+        body = read_json(out / "group_report.json")["body"]
+        assert body["n_reports"] == 1
+        assert body["groups"]["by_key"]["B/HP/HT/BOE"]["median"] == 4e-6
+        assert [(os.path.basename(s["path"]), s["reason"]) for s in body["skipped"]] \
+            == [("no_fit.json", "no finite delta_lp"), ("text.json", "no finite delta_lp")]
+
     def test_empty_tree_fails(self, tmp_path, capsys):
         (tmp_path / "sub").mkdir()
         assert run("report", tmp_path, "--out", tmp_path) == 1
@@ -428,6 +446,41 @@ class TestBadNumbers:
         assert run("xrd", tmp_path / "xrd.dat", "--windows", "1:x",
                    "--out", tmp_path) == 1
         self.assert_one_error(capsys, "xrd")
+
+    def write_maps(self, path):
+        sites = ("c", "n", "ne", "e", "se", "s", "sw", "w", "nw")
+        dataio.write_sheet_file(path, [dataio.SheetMap(
+            wafer_id="W0", sites=sites, r_square_ohm_sq=np.full(9, 11.75))])
+
+    @pytest.mark.parametrize("value,text", [
+        ("nan", " must be finite, got 'nan'"),
+        ("abc", ": cannot parse 'abc' as a number"),
+    ], ids=["nan", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ("scan", "notch.dat", "--prominence-db"),
+        ("power", "notch.dat", "--attenuation-db"),
+        ("budget", "--losses", "losses.cfg", "--trench-nm"),
+        ("sheet", "maps.dat", "--thickness-nm"),
+    ], ids=["scan", "power", "budget", "sheet"])
+    def test_float_flag(self, tmp_path, monkeypatch, capsys, argv, value, text):
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "notch") == 0
+        (tmp_path / "losses.cfg").write_text(
+            "delta_sa=1e-3\ndelta_ma=1e-3\ndelta_ms=1e-3\ndelta_si=1e-7\n")
+        self.write_maps("maps.dat")
+        capsys.readouterr()
+        assert run(*argv, value) == 1
+        self.assert_one_error(capsys, argv[0], argv[-1] + text)
+
+    def test_config_float_non_finite(self, tmp_path, capsys):
+        self.write_maps(tmp_path / "maps.dat")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("thickness_nm=nan\n")
+        assert run("sheet", tmp_path / "maps.dat", "--config", cfg,
+                   "--out", tmp_path) == 1
+        self.assert_one_error(
+            capsys, "sheet", "config key thickness_nm must be finite, got 'nan'")
+        assert not (tmp_path / "sheet_report.json").exists()
 
     @pytest.mark.parametrize("kind,param", [
         ("notch", "noise=inf"), ("notch", "fr=nan"), ("feedline", "noise=nan"),

@@ -2,12 +2,15 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cpwloss import dataio
+from cpwloss import dataio, stats
 from cpwloss.errors import DataError, ParseError
+from cpwloss.filmchar import TcResult
+from cpwloss.lossbudget import DecomposeResult
 
 
 def write(path, text):
@@ -362,9 +365,7 @@ class TestReports:
         path = str(tmp_path / "r.json")
         body = {"x": dataio.qty(1.5, unit="GHz", sigma=0.1), "flag": True}
         plot = {"curve": (("a", "b"), (np.arange(3.0), np.arange(3.0) ** 2))}
-        written = dataio.write_report(path, "demo", body,
-                                      design_constants={"gap_um": 6.0},
-                                      plot_data=plot)
+        written = dataio.write_report(path, "demo", body, plot_data=plot)
         assert len(written) == 2
         doc = dataio.read_report(path)
         assert doc["report_kind"] == "demo"
@@ -387,6 +388,29 @@ class TestReports:
         assert doc["body"]["bad"] is None
         assert doc["body"]["inf"] is None
         assert doc["body"]["arr"] == [1.0, None]
+
+    @pytest.mark.parametrize("result,extract,want", [
+        (stats.box_summary([1.0, 2.0, 3.0, 100.0]),
+         lambda d: d["outliers"], [100.0]),
+        (DecomposeResult(losses={"delta_sa": 1e-3, "delta_si": math.nan},
+                         sigma={}, unresolved=("delta_si",), rank=1,
+                         condition_number=1.0, residual_rms=0.0,
+                         predicted=np.array([1e-6, np.nan])),
+         lambda d: [d["losses"], d["unresolved"], d["predicted"]],
+         [{"delta_sa": 1e-3, "delta_si": None}, ["delta_si"], [1e-6, None]]),
+        (TcResult(tc=math.nan, transition_width=0.1, r_normal=25.0,
+                  r_300k=100.0, rrr=4.0, flags=("rrr_below_1",)),
+         lambda d: [d["tc"], d["flags"]], [None, ["rrr_below_1"]]),
+        (stats.group_by_process([(dataio.ProcessKey("A", "HP", "HT"), 2.0)]),
+         lambda d: {k: list(v) for k, v in d["by_key"].items()},
+         {"A/HP/HT/none": [f.name for f in fields(stats.BoxSummary)]}),
+    ], ids=["tuple", "ndarray", "nan", "process_key"])
+    def test_dataclass_written_as_fields(self, tmp_path, result, extract, want):
+        path = tmp_path / "r.json"
+        dataio.write_report(path, "demo", {"result": result})
+        doc = dataio.read_report(path)["body"]["result"]
+        assert list(doc) == [f.name for f in fields(result)]
+        assert extract(doc) == want
 
     def test_report_is_deterministic(self, tmp_path):
         body = {"v": dataio.qty(math.pi)}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cpwloss import filmchar, synth
+from cpwloss import dataio, filmchar, synth
 from cpwloss.dataio import RtSweep, SheetMap, XrdScan
 from cpwloss.errors import DataError, FitError
 from cpwloss.filmchar import (
@@ -288,7 +288,9 @@ class TestTcRrr:
         assert res.rrr == pytest.approx(20.0 / 25.0, rel=1e-12)
         assert "rrr_below_1" in res.flags
 
-    def test_as_dict(self):
-        doc = extract_tc_rrr(plateau_curve()).as_dict()
+    def test_report_record(self, tmp_path):
+        path = tmp_path / "r.json"
+        dataio.write_report(path, "demo", {"tc_rrr": extract_tc_rrr(plateau_curve())})
+        doc = dataio.read_report(path)["body"]["tc_rrr"]
         assert set(doc) == {"tc", "transition_width", "r_normal", "r_300k",
                             "rrr", "flags"}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpwloss import lossbudget
+from cpwloss import dataio, lossbudget
 from cpwloss.errors import DataError, FitError
 from cpwloss.lossbudget import (
     InterfaceLosses,
@@ -224,10 +224,12 @@ class TestDecompose:
         for name in lossbudget.LOSS_NAMES:
             assert result.losses[name] >= 0.0
 
-    def test_as_dict_shape(self):
+    def test_report_shape(self, tmp_path):
         rows = independent_rows()
         deltas = [forward_loss(r, TRUTH) for r in rows]
-        doc = decompose(rows, deltas).as_dict()
+        path = tmp_path / "r.json"
+        dataio.write_report(path, "demo", {"result": decompose(rows, deltas)})
+        doc = dataio.read_report(path)["body"]["result"]
         assert set(doc) == {"losses", "sigma", "unresolved", "rank",
                             "condition_number", "residual_rms", "predicted",
                             "resolved_combinations"}
