@@ -3,7 +3,7 @@
 The model for a quarter-wave resonator side-coupled to a feedline is
 
     S21(f) = a*e^{i*alpha}*e^{-2i*pi*f*tau}
-             * [1 - (Ql/|Qc|)*e^{i*phi} / (1 + 2i*Ql*(f/fr - 1))]
+             * [1 - (Ql/|Qc|)*e^{i*phi} / (1 + 2i*Ql*(f - fr)/fr)]
 
 with environment amplitude a, phase alpha and cable delay tau, loaded
 quality factor Ql, coupling magnitude |Qc| and impedance-mismatch angle
@@ -11,7 +11,12 @@ phi. fit_resonance() extracts all seven parameters by the classic
 staged procedure: a wing-slope delay start, algebraic circle fit,
 phase-vs-frequency fit, off-resonant-point calibration, then one
 simultaneous Levenberg-Marquardt refinement of all seven parameters
-(tau included) whose Jacobian provides the errors. The solver is
+(tau included) whose Jacobian provides the errors. Both solves take
+the model's Jacobian in closed form (Probst et al., Rev. Sci. Instrum.
+86, 024706 (2015)) rather than by finite differences, so the errors
+rest on the exact Jacobian at the optimum. The detuning is written
+(f - fr)/fr, which is exact near fr, not f/fr - 1, which loses up to
+log10(2*Ql) digits before the product with 2*Ql. The solver is
 imported at call time to keep CLI start-up cheap.
 """
 
@@ -31,7 +36,7 @@ def notch_model(f, fr, Ql, Qc_mag, phi, a=1.0, alpha=0.0, tau=0.0):
     """Complex S21 of a notch resonator in its environment."""
     f = np.asarray(f, dtype=float)
     env = a * np.exp(1j * alpha) * np.exp(-1j * TWO_PI * f * tau)
-    dip = (Ql / Qc_mag) * np.exp(1j * phi) / (1.0 + 2j * Ql * (f / fr - 1.0))
+    dip = (Ql / Qc_mag) * np.exp(1j * phi) / (1.0 + 2j * Ql * (f - fr) / fr)
     return env * (1.0 - dip)
 
 
@@ -172,11 +177,18 @@ def _initial_guesses(f, zc):
 
 
 def _phase_model(f, theta0, Ql, fr):
-    return theta0 + 2.0 * np.arctan(2.0 * Ql * (1.0 - f / fr))
+    return theta0 + 2.0 * np.arctan(2.0 * Ql * (fr - f) / fr)
+
+
+def _phase_jac(f, theta0, Ql, fr):
+    """Columns d/d(theta0, Ql, fr) of _phase_model."""
+    x = (fr - f) / fr
+    g = 4.0 / (1.0 + (2.0 * Ql * x) ** 2)
+    return np.column_stack([np.ones_like(f), g * x, g * Ql * f / fr ** 2])
 
 
 def _fit_phase(f, w, fr0, ql0):
-    """Fit theta(f) = theta0 + 2*arctan(2*Ql*(1 - f/fr)) to centered data.
+    """Fit theta(f) = theta0 + 2*arctan(2*Ql*(fr - f)/fr) to centered data.
 
     One Levenberg-Marquardt solve over (theta0, Ql, fr), started at the
     mean of the two end-point phases and the (fr0, ql0) guesses, with Ql
@@ -189,10 +201,12 @@ def _fit_phase(f, w, fr0, ql0):
     p0 = np.array([0.5 * (theta[0] + theta[-1]), ql0, fr0])
 
     def resid(q):
-        p = q * scales
-        return _phase_model(f, p[0], p[1], p[2]) - theta
+        return _phase_model(f, *(q * scales)) - theta
 
-    sol = least_squares(resid, p0 / scales, method="lm",
+    def jac(q):
+        return _phase_jac(f, *(q * scales)) * scales
+
+    sol = least_squares(resid, p0 / scales, jac=jac, method="lm",
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=800)
     theta0, ql, fr = sol.x * scales
     if ql <= 0 or not f[0] <= fr <= f[-1]:
@@ -306,6 +320,26 @@ def fit_resonance(sweep):
     )
 
 
+def _centred_model(f, fc, p):
+    """S21 at p = (fr, Ql, Qc_mag, phi, a, alpha_c, tau), alpha_c being the
+    environment phase at f = fc."""
+    env = p[4] * np.exp(1j * (p[5] - TWO_PI * (f - fc) * p[6]))
+    return env * notch_model(f, p[0], p[1], p[2], p[3])
+
+
+def _centred_jac(f, fc, p):
+    """Jacobian of _centred_model, real parts stacked over imaginary parts."""
+    fr, ql, qc, phi, a, alpha_c, tau = p
+    env = a * np.exp(1j * (alpha_c - TWO_PI * (f - fc) * tau))
+    den = 1.0 + 2j * ql * (f - fr) / fr
+    edip = env * (ql / qc) * np.exp(1j * phi) / den
+    m = env - edip
+    cols = np.column_stack([
+        -edip * 2j * ql * f / (fr ** 2 * den), -edip / (ql * den), edip / qc,
+        -1j * edip, m / a, 1j * m, -1j * TWO_PI * (f - fc) * m])
+    return np.concatenate([cols.real, cols.imag])
+
+
 def _refine(f, z, p0):
     """Simultaneous Levenberg-Marquardt refinement of all 7 parameters.
 
@@ -326,13 +360,14 @@ def _refine(f, z, p0):
     pc0[5] = _wrap_angle(p0[5] - TWO_PI * fc * p0[6])
 
     def residuals(q):
-        p = q * scales
-        env = p[4] * np.exp(1j * (p[5] - TWO_PI * (f - fc) * p[6]))
-        diff = env * notch_model(f, p[0], p[1], p[2], p[3]) - z
+        diff = _centred_model(f, fc, q * scales) - z
         return np.concatenate([diff.real, diff.imag])
 
+    def jac(q):
+        return _centred_jac(f, fc, q * scales) * scales
+
     max_nfev = 1600
-    res = least_squares(residuals, pc0 / scales, method="lm",
+    res = least_squares(residuals, pc0 / scales, jac=jac, method="lm",
                         xtol=1e-15, ftol=1e-14, gtol=1e-14,
                         max_nfev=max_nfev)
     cov_q = covariance(res, f"refinement (limit {max_nfev} function evaluations)")

@@ -100,6 +100,8 @@ def build_config(args):
             merged[key] = parse_number(text, what) if cast is float else cast(text)
         except ValueError:
             raise DataError(f"{what}: cannot parse '{text}' as {cast.__name__}") from None
+        if key == "seed" and merged[key] < 0:
+            raise DataError(f"{what} must be >= 0, got {text}")
     return RunConfig(
         command=args.command,
         inputs=tuple(getattr(args, "inputs", ()) or ()),
@@ -168,6 +170,8 @@ def scan_windows(sweep, prominence_db=3.0):
     the dip center, a fitting window of +-10 estimated linewidths, and
     a proximity flag for dips closer than 50 MHz to a neighbor.
     """
+    if not prominence_db > 0:
+        raise DataError(f"prominence_db must be > 0 dB, got {prominence_db:g}")
     from scipy.ndimage import median_filter
     f = sweep.frequency_hz
     mag_db = 20.0 * np.log10(np.maximum(np.abs(sweep.s21), 1e-300))
@@ -513,7 +517,12 @@ def cmd_report(cfg):
             if type(delta_lp) not in (int, float) or not np.isfinite(delta_lp):
                 skipped.append({"path": path, "reason": "no finite delta_lp"})
                 continue
-            pairs.append((dataio.parse_process(process_text), delta_lp))
+            try:
+                key = dataio.parse_process(process_text)
+            except DataError as exc:
+                skipped.append({"path": path, "reason": str(exc)})
+                continue
+            pairs.append((key, delta_lp))
     if not pairs:
         raise DataError(f"{root}: no TLS fit reports with process keys found "
                         f"({len(skipped)} skipped)")
@@ -673,7 +682,7 @@ def build_parser():
                         help="output directory (default: current directory)")
     common.add_argument("--config",
                         help="key=value option file; flags override it")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", default=None,
                         help=f"random seed (default {DEFAULT_SEED})")
 
     p = sub.add_parser("scan", parents=[common],

@@ -1,5 +1,7 @@
 """Notch resonance fitting: circle fit, delay removal, full refinement."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,74 @@ class TestNotchModel:
         z1 = circlefit.notch_model(f, 6e9, 5e4, 1e5, 0.0, tau=10e-9)
         expected = z0 * np.exp(-2j * np.pi * f * 10e-9)
         np.testing.assert_allclose(z1, expected, rtol=1e-12)
+
+    def test_detuning_exact_near_resonance(self):
+        # the dip term against one built from the exactly rounded detuning;
+        # f/fr - 1 would lose log10(2*Ql) digits before the product with 2*Ql
+        fr, ql, qc = 6e9, 5e5, 1e6
+        f = circlefit.default_frequencies(fr, ql)
+        x = np.array([float(Fraction(fk) / Fraction(fr) - 1) for fk in f])
+        expected = (ql / qc) / (1.0 + 2j * ql * x)
+        dip = 1.0 - circlefit.notch_model(f, fr, ql, qc, 0.0)
+        np.testing.assert_allclose(dip, expected, rtol=1e-13)
+
+
+class TestJacobians:
+    """The closed-form Jacobians of _refine and _fit_phase against central
+    differences of the models they differentiate, column by column."""
+
+    @staticmethod
+    def central(fun, p, steps):
+        cols = []
+        for i, h in enumerate(steps):
+            dp = np.zeros(p.size)
+            dp[i] = h
+            hi, lo = p + dp, p - dp
+            cols.append((fun(hi) - fun(lo)) / (hi[i] - lo[i]))
+        return np.column_stack(cols)
+
+    @staticmethod
+    def assert_columns_match(analytic, numeric):
+        assert analytic.shape == numeric.shape
+        for k in range(numeric.shape[1]):
+            err = np.linalg.norm(analytic[:, k] - numeric[:, k])
+            assert err <= 1e-5 * np.linalg.norm(numeric[:, k]), f"column {k}"
+
+    @staticmethod
+    def draw(rng):
+        """(f, fr, Ql) with fr up to a linewidth off the grid's centre."""
+        fr = rng.uniform(4e9, 8e9)
+        ql = 10 ** rng.uniform(4.0, 5.7)
+        f = circlefit.default_frequencies(fr * (1.0 + rng.uniform(-1, 1) / ql), ql)
+        return f, fr, ql
+
+    def test_refine_jacobian(self):
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            f, fr, ql = self.draw(rng)
+            fc = 0.5 * (f[0] + f[-1])
+            p = np.array([fr, ql, ql * 10 ** rng.uniform(0.0, 1.3),
+                          rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.5),
+                          rng.uniform(-np.pi, np.pi), rng.uniform(0.0, 100e-9)])
+            steps = np.array([1e-4 * fr / ql, 1e-4 * ql, 1e-4 * p[2], 1e-5,
+                              1e-5 * p[4], 1e-5, 1e-5 / (2 * np.pi * np.ptp(f))])
+
+            def stacked(q):
+                z = circlefit._centred_model(f, fc, q)
+                return np.concatenate([z.real, z.imag])
+
+            self.assert_columns_match(circlefit._centred_jac(f, fc, p),
+                                      self.central(stacked, p, steps))
+
+    def test_phase_jacobian(self):
+        rng = np.random.default_rng(18)
+        for _ in range(6):
+            f, fr, ql = self.draw(rng)
+            p = np.array([rng.uniform(-np.pi, np.pi), ql, fr])
+            steps = np.array([1e-5, 1e-4 * ql, 1e-4 * fr / ql])
+            self.assert_columns_match(
+                circlefit._phase_jac(f, *p),
+                self.central(lambda q: circlefit._phase_model(f, *q), p, steps))
 
 
 class TestCircleFit:

@@ -342,6 +342,20 @@ class TestReport:
         assert [(os.path.basename(s["path"]), s["reason"]) for s in body["skipped"]] \
             == [("no_fit.json", "no finite delta_lp"), ("text.json", "no finite delta_lp")]
 
+    def test_bad_process_key_skipped(self, tmp_path):
+        for name, process in (("good.json", "B/HP/HT/BOE"), ("bad.json", "Z/HP/HT/none")):
+            body = {"process": process, "tls_fit": {"delta_lp": 4e-6}}
+            (tmp_path / name).write_text(json.dumps(
+                {"report_kind": "tls_fit", "body": body}))
+        out = tmp_path / "out"
+        assert run("report", tmp_path, "--out", out) == 0
+        body = read_json(out / "group_report.json")["body"]
+        assert body["n_reports"] == 1
+        assert set(body["groups"]["by_key"]) == {"B/HP/HT/BOE"}
+        [skip] = body["skipped"]
+        assert skip["path"] == str(tmp_path / "bad.json")
+        assert skip["reason"].startswith("unknown deposition 'Z'")
+
     def test_empty_tree_fails(self, tmp_path, capsys):
         (tmp_path / "sub").mkdir()
         assert run("report", tmp_path, "--out", tmp_path) == 1
@@ -501,6 +515,37 @@ class TestBadNumbers:
                    "--out", tmp_path) == 1
         self.assert_one_error(
             capsys, "fit", f"window '{spans}' must be finite, got '{bad}'")
+
+    @pytest.mark.parametrize("seed,text", [
+        ("abc", "--seed: cannot parse 'abc' as int"),
+        ("-1", "--seed must be >= 0, got -1"),
+    ], ids=["abc", "negative"])
+    def test_seed(self, tmp_path, capsys, seed, text):
+        assert run("synth", "notch", "noise=0.001", "--seed", seed,
+                   "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "synth", text)
+        assert not (tmp_path / "truth.json").exists()
+
+    def test_config_seed_negative(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-3\n")
+        assert run("synth", "notch", "noise=0.001", "--config", cfg,
+                   "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "synth", "config key seed must be >= 0, got -3")
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_prominence_not_positive(self, tmp_path, capsys, source, value):
+        assert run("synth", "notch", "--out", tmp_path) == 0
+        capsys.readouterr()
+        if source == "flag":
+            option = ("--prominence-db", value)
+        else:
+            (tmp_path / "run.cfg").write_text(f"prominence_db={value}\n")
+            option = ("--config", tmp_path / "run.cfg")
+        assert run("scan", tmp_path / "notch.dat", *option, "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "scan", f"prominence_db must be > 0 dB, got {value}")
+        assert not (tmp_path / "scan_report.json").exists()
 
     def test_synth_xrd_peak_non_finite(self, tmp_path, capsys):
         assert run("synth", "xrd", "peaks=36.9:inf:500:0.3", "--out", tmp_path) == 1
