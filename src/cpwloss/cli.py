@@ -181,17 +181,11 @@ def scan_windows(sweep, prominence_db=3.0):
     baseline = median_filter(mag_db, size=size, mode="nearest")
     depth = baseline - mag_db
 
-    above = depth >= prominence_db
+    # (i, j) pairs: each run of dip points is depth[i:j] >= prominence_db
+    runs = np.flatnonzero(np.diff(np.r_[False, depth >= prominence_db, False]))
     windows = []
-    i = 0
-    while i < f.size:
-        if not above[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < f.size and above[j + 1]:
-            j += 1
-        k = i + int(np.argmax(depth[i:j + 1]))
+    for i, j in runs.reshape(-1, 2).tolist():
+        k = i + int(np.argmax(depth[i:j]))
         half = depth[k] / 2.0
         left, right = k, k
         while left > 0 and depth[left - 1] >= half:
@@ -208,7 +202,6 @@ def scan_windows(sweep, prominence_db=3.0):
             "max_depth_db": float(depth[k]),
             "proximity_flag": False,
         })
-        i = j + 1
 
     if not windows:
         raise FitError(f"no dips found deeper than {prominence_db} dB "
@@ -255,13 +248,15 @@ def parse_windows_arg(windows_arg):
 
 
 def slice_sweep(sweep, f_lo, f_hi, label):
-    mask = (sweep.frequency_hz >= f_lo) & (sweep.frequency_hz <= f_hi)
-    if int(mask.sum()) < 32:
+    # frequencies strictly increase, so the points in [f_lo, f_hi] are one slice
+    lo = int(np.searchsorted(sweep.frequency_hz, f_lo, "left"))
+    hi = max(lo, int(np.searchsorted(sweep.frequency_hz, f_hi, "right")))
+    if hi - lo < 32:
         raise DataError(f"window {label} [{f_lo:.6g}, {f_hi:.6g}] Hz holds only "
-                        f"{int(mask.sum())} points, need >= 32")
+                        f"{hi - lo} points, need >= 32")
     return replace(sweep,
-                   frequency_hz=sweep.frequency_hz[mask],
-                   s21=sweep.s21[mask],
+                   frequency_hz=sweep.frequency_hz[lo:hi],
+                   s21=sweep.s21[lo:hi],
                    source=f"{sweep.source or '<sweep>'}[{label}]")
 
 

@@ -9,8 +9,10 @@ nothing a measurement setup wrote is silently dropped.
 Lines split on "\n" only (``\r\n`` and ``\r`` read as "\n"): a form feed
 inside a line separates cells and shifts no line number. Blank lines
 are allowed anywhere; the names row precedes the data; each data row
-has one cell per column, each a finite float() in numeric files. Errors
-name the first bad line.
+has one cell per column, each a finite float() in numeric files.
+Numeric blocks go through numpy's C reader first; a block it refuses,
+or one with a non-finite value, is walked line by line with float(),
+which reads the rest and names the first bad line in its error.
 
 Parsed objects are immutable: dataclasses are frozen and their numpy
 arrays are marked read-only.
@@ -286,23 +288,24 @@ def _float_cell(tok, path, lineno, colname):
 def float_columns(path, names, lines, start, expected_names):
     """Parse the data lines from read_lines as finite float columns.
 
-    The names row, if any, must be expected_names. All cells go through
-    float() at once; only on failure are the lines walked, to raise
-    ParseError at the first bad one.
+    The names row, if any, must be expected_names. numpy's C reader
+    parses the whole block in one call; it reads a subset of the
+    spellings float() reads, with the same bits. A block it refuses or
+    that holds a non-finite value is walked line by line with float(),
+    which returns the values of spellings only float() reads (``1_000``,
+    non-ASCII digits) and raises ParseError at the first bad line.
     """
     _check_names(path, names, expected_names, start)
     ncol = len(expected_names)
-    data = lines[start:]
     try:
-        values = np.array(list(map(float, "\n".join(data).split())))
+        values = np.loadtxt(lines[start:], comments=None, ndmin=2)
     except ValueError:
         values = None
-    if (values is None or set(map(len, map(str.split, data))) - {0, ncol}
-            or not np.isfinite(values).all()):
-        for lineno, tokens in _data_rows(path, lines, start, ncol):
-            for name, tok in zip(expected_names, tokens):
-                _float_cell(tok, path, lineno, name)
-    return list(values.reshape(-1, ncol).T.copy())
+    if values is None or values.shape[1] != ncol or not np.isfinite(values).all():
+        values = np.array([[_float_cell(tok, path, lineno, name)
+                            for name, tok in zip(expected_names, tokens)]
+                           for lineno, tokens in _data_rows(path, lines, start, ncol)])
+    return list(values.T.copy())
 
 
 def _header_float(header, key, path):

@@ -11,6 +11,7 @@ import pytest
 
 from cpwloss import cli, dataio, synth
 from cpwloss.dataio import ComplexSweep
+from cpwloss.errors import DataError
 
 
 def run(*argv):
@@ -75,6 +76,50 @@ def scanned_dir(feedline_dir):
     return feedline_dir
 
 
+def old_scan_windows(f, depth, prominence_db):
+    """The point-by-point run walk that scan_windows replaced."""
+    above = depth >= prominence_db
+    windows = []
+    i = 0
+    while i < f.size:
+        if not above[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < f.size and above[j + 1]:
+            j += 1
+        k = i + int(np.argmax(depth[i:j + 1]))
+        half = depth[k] / 2.0
+        left, right = k, k
+        while left > 0 and depth[left - 1] >= half:
+            left -= 1
+        while right < f.size - 1 and depth[right + 1] >= half:
+            right += 1
+        est_lw = max(float(f[right] - f[left]), 2.0 * float(f[1] - f[0]))
+        windows.append({
+            "f_center_hz": float(f[k]),
+            "f_lo_hz": max(float(f[0]), float(f[k] - 10.0 * est_lw)),
+            "f_hi_hz": min(float(f[-1]), float(f[k] + 10.0 * est_lw)),
+            "est_linewidth_hz": est_lw,
+            "max_depth_db": float(depth[k]),
+            "proximity_flag": False,
+        })
+        i = j + 1
+    for a, b in zip(windows, windows[1:]):
+        if b["f_center_hz"] - a["f_center_hz"] < cli.PROXIMITY_LIMIT_HZ:
+            a["proximity_flag"] = b["proximity_flag"] = True
+    return windows
+
+
+def dipped_sweep(depths_db, n=400):
+    """A flat 0 dB trace on a 1 MHz grid with the given {index: depth} dips."""
+    mag_db = np.zeros(n)
+    for k, d in depths_db.items():
+        mag_db[k] = -d
+    return ComplexSweep(frequency_hz=4e9 + 1e6 * np.arange(n),
+                        s21=10.0 ** (mag_db / 20.0) * np.exp(0.3j))
+
+
 class TestScan:
     def test_finds_all_resonators(self, scanned_dir):
         doc = read_json(scanned_dir / "scan_report.json")
@@ -97,6 +142,32 @@ class TestScan:
         dataio.write_sweep_file(path, sweep)
         assert run("scan", path, "--out", tmp_path) == 1
         assert "no dips" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depths", [
+        {0: 10.0},
+        {399: 10.0},
+        {200: 6.0},
+        {200: 8.0, 201: 1.0, 202: 9.0},
+        {0: 4.0, 1: 7.0, 2: 5.0, 3: 3.5, 4: 2.0, 250: 12.0, 251: 12.0, 398: 3.0, 399: 20.0},
+        {100: 3.2, 101: 2.9, 102: 3.1, 140: 4.0, 141: 4.0, 142: 4.0},
+    ], ids=["first_point", "last_point", "one_point_run", "runs_one_apart",
+            "edges_and_ties", "near_threshold"])
+    def test_windows_match_point_walk(self, depths, monkeypatch):
+        # a flat 0 dB baseline: the moving median never lets a run touch an end
+        import scipy.ndimage
+        monkeypatch.setattr(scipy.ndimage, "median_filter",
+                            lambda x, size, mode: np.zeros_like(x))
+        sweep = dipped_sweep(depths)
+        windows, mag_db, baseline = cli.scan_windows(sweep, 3.0)
+        assert windows == old_scan_windows(sweep.frequency_hz, baseline - mag_db, 3.0)
+
+    def test_windows_match_point_walk_on_random_dips(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            idx = rng.choice(400, size=rng.integers(1, 60), replace=False)
+            sweep = dipped_sweep(dict(zip(idx.tolist(), rng.uniform(0, 8, idx.size))))
+            windows, mag_db, baseline = cli.scan_windows(sweep, 3.0)
+            assert windows == old_scan_windows(sweep.frequency_hz, baseline - mag_db, 3.0)
 
     def test_close_dips_flagged(self, tmp_path):
         d = tmp_path / "close"
@@ -142,6 +213,26 @@ class TestFit:
         assert body["n_fits"] == 1
         assert body["fits"][0]["fr"] == pytest.approx(truth["fr"], rel=1e-9)
         assert body["fits"][0]["Ql"] == pytest.approx(truth["ql"], rel=1e-6)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (4.0e9, 4.1e9), (4.05e9, 4.1e9), (4.05e9 + 0.5e6, 4.1e9 - 0.5e6),
+        (3e9, 4.04e9), (4.36e9, 5e9), (3e9, 5e9), (4.399e9, 4.399e9),
+        (4.1e9, 4.05e9), (4.0e9, 4.031e9), (4.0e9, 4.0309e9), (5e9, 6e9),
+    ])
+    def test_slice_matches_mask(self, lo, hi):
+        sweep = dipped_sweep({200: 6.0})
+        f = sweep.frequency_hz
+        mask = (f >= lo) & (f <= hi)
+        if mask.sum() < 32:
+            with pytest.raises(DataError) as err:
+                cli.slice_sweep(sweep, lo, hi, "w0")
+            assert str(err.value) == (f"window w0 [{lo:.6g}, {hi:.6g}] Hz holds only "
+                                      f"{int(mask.sum())} points, need >= 32")
+            return
+        sub = cli.slice_sweep(sweep, lo, hi, "w0")
+        np.testing.assert_array_equal(sub.frequency_hz, f[mask])
+        np.testing.assert_array_equal(sub.s21, sweep.s21[mask])
+        assert sub.source == "<sweep>[w0]"
 
     def test_failure_sets_exit_code(self, tmp_path, capsys):
         f = np.linspace(4e9, 4.001e9, 200)

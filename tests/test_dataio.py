@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpwloss import dataio, stats
 from cpwloss.errors import DataError, ParseError
@@ -110,6 +113,23 @@ class TestSweepParsing:
         path = write(tmp_path / "rev.dat", "\n".join(lines) + "\n")
         with pytest.raises(ParseError):
             dataio.parse_sweep_file(path)
+
+    def test_parse_peak_memory(self, tmp_path):
+        # the reader must not hold a Python object per cell: one str and
+        # one float per cell took 10x the file size at this row length
+        n = 100_000
+        rng = np.random.default_rng(5)
+        sweep = dataio.ComplexSweep(frequency_hz=5e9 + 10.0 * np.arange(n),
+                                    s21=rng.normal(size=n) + 1j * rng.normal(size=n))
+        path = tmp_path / "big.dat"
+        dataio.write_sweep_file(path, sweep)
+        tracemalloc.start()
+        try:
+            dataio.parse_sweep_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * path.stat().st_size
 
     def test_unknown_header_keys_preserved(self, tmp_path):
         path = write(tmp_path / "s.dat",
@@ -252,7 +272,10 @@ class TestReaderParity:
         lambda t: t.replace(NAMES + "\n", ""),
         lambda t: t.replace("\n", "\r\n"),
         lambda t: t.replace(" 0.01\n", "\x0c0.01\n"),
-    ], ids=["blank_lines_inside", "no_names_row", "crlf", "form_feed"])
+        lambda t: t.replace("\n5000001000 ", "\n5_000_001_000 "),
+        lambda t: t.replace(" 0.01\n", " \u0660.\u0660\u0661\n", 1),
+    ], ids=["blank_lines_inside", "no_names_row", "crlf", "form_feed",
+            "underscores", "arabic_indic_digits"])
     def test_accepted_variants(self, tmp_path, transform):
         # reference: float() of each cell of the clean file, row by row
         ref = np.array([[float(tok) for tok in line.split()]
@@ -274,6 +297,82 @@ class TestReaderParity:
         with pytest.raises(ParseError) as err:
             dataio.parse_sweep_file(str(path))
         assert err.value.line == 12
+
+
+def reference_columns(path, lines, start, names):
+    """float() of each cell, row by row, raising the reader's ParseError."""
+    rows = []
+    for i in range(start, len(lines)):
+        tokens = lines[i].split()
+        if not tokens:
+            continue
+        if tokens[0].startswith("#"):
+            raise ParseError(path, i + 1, "header line after data block")
+        if len(tokens) != len(names):
+            raise ParseError(path, i + 1,
+                             f"expected {len(names)} columns, got {len(tokens)}")
+        row = []
+        for name, tok in zip(names, tokens):
+            try:
+                value = float(tok)
+            except ValueError:
+                raise ParseError(path, i + 1, f"column '{name}': cannot parse "
+                                              f"'{tok}' as a number") from None
+            if not math.isfinite(value):
+                raise ParseError(path, i + 1, f"column '{name}': non-finite value '{tok}'")
+            row.append(value)
+        rows.append(row)
+    return [np.array(col) for col in zip(*rows)]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBER = st.one_of(FINITE.map(lambda x: f"{x:.12g}"), FINITE.map(repr),
+                   st.sampled_from(["1_000", "\u0661"]))
+CELL = st.one_of(NUMBER, NUMBER, NUMBER, st.sampled_from(["nan", "-inf", "1e"]))
+SEPARATORS = st.sampled_from([" ", "\t", "\x0c", "\x1c", "\u2028"])
+GAP = st.lists(SEPARATORS, min_size=1, max_size=2).map("".join)
+EDGE = st.lists(SEPARATORS, max_size=2).map("".join)
+
+
+@st.composite
+def data_blocks(draw):
+    """(names, lines): a first line of numbers, as read_lines returns it,
+    then rows, blank lines, # lines and ragged rows."""
+    names = tuple(f"c{k}" for k in range(draw(st.integers(1, 4))))
+
+    def line(first):
+        kinds = ["row"] * 4 + (["ragged"] if first else ["blank", "comment", "ragged"])
+        kind = draw(st.sampled_from(kinds))
+        ncell = {"row": len(names), "blank": 0, "comment": 1,
+                 "ragged": len(names) + draw(st.sampled_from([-1, 1]))}[kind]
+        cells = [draw(NUMBER if first else CELL) for _ in range(max(ncell, first))]
+        if kind == "comment":
+            cells[0] = "#" + cells[0]
+        text = draw(EDGE)
+        for k, cell in enumerate(cells):
+            text += (draw(GAP) if k else "") + cell
+        return text + draw(EDGE)
+
+    return names, [line(True)] + [line(False) for _ in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data_blocks())
+def test_float_columns_matches_float_reference(block):
+    names, data = block
+    path, lines, start = "block.dat", ["#power_dbm=-80", ""] + data, 2
+    try:
+        want = reference_columns(path, lines, start, names)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            dataio.float_columns(path, None, lines, start, names)
+        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        return
+    got = dataio.float_columns(path, None, lines, start, names)
+    assert len(got) == len(names)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64
+        assert g.tobytes() == w.tobytes()
 
 
 def old_write_rows(header, names, columns):
