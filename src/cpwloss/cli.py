@@ -60,9 +60,9 @@ class RunConfig:
 def parse_config_file(path):
     """Plain key=value option file; '#' starts a comment."""
     values = {}
-    with open(path, "r") as fh:
+    with dataio.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = dataio.utf8_text(path, lineno, raw).split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -387,12 +387,10 @@ def cmd_budget(cfg):
               f"-> {_out_path(cfg, 'budget_report.json')}")
         return 0
 
-    _, names, lines, start = dataio.read_lines(cfg.decompose)
-    want_sigma = names is not None and "sigma" in names
-    cols = ("trench_nm", "delta", "sigma") if want_sigma else ("trench_nm", "delta")
-    parsed = dataio.float_columns(cfg.decompose, names, lines, start, cols)
+    _, parsed, _ = dataio.read_columns(cfg.decompose, ("trench_nm", "delta"),
+                                       ("trench_nm", "delta", "sigma"))
     trench, deltas = parsed[0], parsed[1]
-    sigmas = parsed[2] if want_sigma else None
+    sigmas = parsed[2] if len(parsed) == 3 else None
     prows = [lossbudget.interpolate(table, t) for t in trench]
     result = lossbudget.decompose(prows, deltas, sigmas)
     body = {
@@ -555,7 +553,7 @@ def _params_float(params, defaults):
 
 def _write_truth(cfg, truth):
     path = _out_path(cfg, "truth.json")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -6,13 +6,19 @@ whitespace-separated numeric rows. Comments after the data block are
 not allowed; unknown header keys are kept and echoed into reports so
 nothing a measurement setup wrote is silently dropped.
 
-Lines split on "\n" only (``\r\n`` and ``\r`` read as "\n"): a form feed
-inside a line separates cells and shifts no line number. Blank lines
-are allowed anywhere; the names row precedes the data; each data row
-has one cell per column, each a finite float() in numeric files.
-Numeric blocks go through numpy's C reader first; a block it refuses,
-or one with a non-finite value, is walked line by line with float(),
-which reads the rest and names the first bad line in its error.
+Files are UTF-8; a byte that is not UTF-8 is a bad line. Lines split
+on "\n" only (``\r\n`` and ``\r`` read as "\n"): a form feed inside a
+line separates cells and shifts no line number. Blank lines are
+allowed anywhere; the names row precedes the data; each data row has
+one cell per column, each a finite float() in numeric files.
+
+Numeric files stream: the header is read line by line, then numpy's C
+reader reads the data block straight from the open file, so no Python
+object per line or per cell is held. A block it refuses, or one with a
+non-finite value, is read again and walked line by line with float(),
+which reads the rest and names the first bad line in its error. The
+writer formats a few thousand rows at a time from slices of the
+columns.
 
 Parsed objects are immutable: dataclasses are frozen and their numpy
 arrays are marked read-only.
@@ -216,54 +222,85 @@ def _check_increasing(arr, what):
 # ---------------------------------------------------------------------------
 # low-level columnar reader / writer
 
-def read_lines(path):
-    """Read a columnar file and scan it up to its first data line.
+def open_text(path):
+    """Open a text input (data file, report, option file) as UTF-8 with
+    any newline. A byte that is not UTF-8 is kept as a lone surrogate,
+    so that utf8_text can name its line."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
-    Returns (header, names, lines, start): header maps key -> raw string
-    value, names is the list of column names or None, lines is the file
-    split on "\n" and lines[start] is the first data line.
+
+def utf8_text(path, lineno, text):
+    """text, read by open_text from line lineno on, or ParseError at the
+    first of its lines that holds a byte that is not UTF-8."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(text[exc.start]) - 0xDC00
+            raise ParseError(path, lineno + text.count("\n", 0, exc.start),
+                             f"invalid UTF-8 byte 0x{byte:02x}") from None
+    return text
+
+
+def _scan_header(path, fh):
+    """Read the header lines of a columnar file up to its first data line.
+
+    Returns (header, names, lineno, offset): header maps key -> raw
+    string value, names is (line number, column names) or None, and the
+    first data line is line lineno, at the fh.tell() position offset
+    where fh is left.
     """
-    with open(path, "r") as fh:
-        lines = fh.read().split("\n")
     header, names = {}, None
-    for i, raw in enumerate(lines):
-        line = raw.strip()
+    lineno = 0
+    while True:
+        offset = fh.tell()
+        raw = fh.readline()
+        if not raw:
+            raise ParseError(path, 1, "no data rows")
+        lineno += 1
+        line = utf8_text(path, lineno, raw).strip()
         if not line:
             continue
         if line.startswith("#"):
             if names is not None:
-                raise ParseError(path, i + 1, "header line after data block")
+                raise ParseError(path, lineno, "header line after data block")
             key, sep, value = line[1:].partition("=")
             if not sep:
-                raise ParseError(path, i + 1, f"malformed header line '{line}'")
+                raise ParseError(path, lineno, f"malformed header line '{line}'")
             if not key.strip():
-                raise ParseError(path, i + 1, "empty header key")
+                raise ParseError(path, lineno, "empty header key")
             header[key.strip()] = value.strip()
             continue
         tokens = line.split()
         if names is not None or _looks_numeric(tokens[0]):
-            return header, names, lines, i
-        names = tokens
-    raise ParseError(path, 1, "no data rows")
+            fh.seek(offset)
+            return header, names, lineno, offset
+        names = (lineno, tuple(tokens))
 
 
-def _check_names(path, names, expected, start):
-    if names is not None and names != list(expected):
-        raise ParseError(path, start,
-                         f"expected columns {' '.join(expected)}, got {' '.join(names)}")
+def _pick_layout(path, names, layouts):
+    """The layout a names row spells, or the first one without a names row."""
+    if names is None:
+        return layouts[0]
+    lineno, got = names
+    if got not in layouts:
+        want = " or ".join(" ".join(layout) for layout in layouts)
+        raise ParseError(path, lineno, f"expected columns {want}, got {' '.join(got)}")
+    return got
 
 
-def _data_rows(path, lines, start, ncol):
-    """(line number, tokens) of each non-blank data line, checked for form."""
-    for i in range(start, len(lines)):
-        tokens = lines[i].split()
+def _data_rows(path, fh, lineno, ncol):
+    """(line number, tokens) of each non-blank data line left in fh, the
+    first being line lineno, checked for form."""
+    for lineno, line in enumerate(fh, lineno):
+        tokens = utf8_text(path, lineno, line).split()
         if not tokens:
             continue
         if tokens[0].startswith("#"):
-            raise ParseError(path, i + 1, "header line after data block")
+            raise ParseError(path, lineno, "header line after data block")
         if len(tokens) != ncol:
-            raise ParseError(path, i + 1, f"expected {ncol} columns, got {len(tokens)}")
-        yield i + 1, tokens
+            raise ParseError(path, lineno, f"expected {ncol} columns, got {len(tokens)}")
+        yield lineno, tokens
 
 
 def _looks_numeric(token):
@@ -285,27 +322,39 @@ def _float_cell(tok, path, lineno, colname):
     return value
 
 
-def float_columns(path, names, lines, start, expected_names):
-    """Parse the data lines from read_lines as finite float columns.
+def read_columns(path, *layouts):
+    """Read a columnar file of finite numbers: (header, columns, first),
+    first being the line number of the first data line.
 
-    The names row, if any, must be expected_names. numpy's C reader
-    parses the whole block in one call; it reads a subset of the
-    spellings float() reads, with the same bits. A block it refuses or
-    that holds a non-finite value is walked line by line with float(),
-    which returns the values of spellings only float() reads (``1_000``,
-    non-ASCII digits) and raises ParseError at the first bad line.
+    Each layout is a tuple of column names, or a function of the header
+    that returns one. A names row must spell one of the layouts; without
+    one the first layout applies. The header is read line by line; the
+    data block is then read straight from the open file by numpy's C
+    reader, which holds no Python object per line and reads a subset of
+    the spellings float() reads, with the same bits. A block it refuses
+    or that holds a non-finite value is read again and walked line by
+    line with float(), which returns the values of spellings only
+    float() reads (``1_000``, non-ASCII digits) and raises ParseError at
+    the first bad line.
     """
-    _check_names(path, names, expected_names, start)
-    ncol = len(expected_names)
-    try:
-        values = np.loadtxt(lines[start:], comments=None, ndmin=2)
-    except ValueError:
-        values = None
-    if values is None or values.shape[1] != ncol or not np.isfinite(values).all():
-        values = np.array([[_float_cell(tok, path, lineno, name)
-                            for name, tok in zip(expected_names, tokens)]
-                           for lineno, tokens in _data_rows(path, lines, start, ncol)])
-    return list(values.T.copy())
+    with open_text(path) as fh:
+        header, names, lineno, offset = _scan_header(path, fh)
+        if callable(layouts[0]):
+            try:
+                layouts = (layouts[0](header),)
+            except DataError as exc:
+                raise ParseError(path, 1, str(exc)) from None
+        layout = _pick_layout(path, names, layouts)
+        try:
+            values = np.loadtxt(fh, comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is None or values.shape[1] != len(layout) or not np.isfinite(values).all():
+            fh.seek(offset)
+            values = np.array([[_float_cell(tok, path, n, name)
+                                for name, tok in zip(layout, tokens)]
+                               for n, tokens in _data_rows(path, fh, lineno, len(layout))])
+    return header, list(values.T.copy()), lineno
 
 
 def _header_float(header, key, path):
@@ -322,20 +371,25 @@ def format_number(x):
     return f"{x:.12g}"
 
 
-_WRITE_CHUNK_ROWS = 65536
+_WRITE_CHUNK_ROWS = 8192
 
 
 def write_rows(path, header, names, columns):
-    """Write a columnar file of numbers (the inverse of float_columns),
-    formatting each chunk of rows as format_number would, with one %."""
-    values = np.column_stack(columns)
-    row = " ".join(["%.12g"] * values.shape[1]) + "\n"
-    with open(path, "w") as fh:
+    """Write a columnar file of numbers (the inverse of read_columns).
+
+    Rows go out in chunks of _WRITE_CHUNK_ROWS: each chunk is stacked
+    from slices of the columns and formatted as format_number would,
+    with one %, so no full-size copy of the columns or of their text is
+    made.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = " ".join(["%.12g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
         for key, value in header.items():
             fh.write(f"#{key}={value}\n")
         fh.write(" ".join(names) + "\n")
-        for i in range(0, len(values), _WRITE_CHUNK_ROWS):
-            chunk = values[i:i + _WRITE_CHUNK_ROWS]
+        for i in range(0, len(columns[0]), _WRITE_CHUNK_ROWS):
+            chunk = np.column_stack([c[i:i + _WRITE_CHUNK_ROWS] for c in columns])
             fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
@@ -359,20 +413,26 @@ def complex_to_db_phase(z):
 # ---------------------------------------------------------------------------
 # parsers
 
+SWEEP_COLUMNS = {
+    "complex": ("frequency_hz", "s21_real", "s21_imag"),
+    "db_phase": ("frequency_hz", "s21_mag_db", "s21_phase_rad"),
+}
+
+
+def _sweep_layout(header):
+    fmt = header.get("format", "complex")
+    if fmt not in SWEEP_COLUMNS:
+        raise DataError(f"unknown format '{fmt}' (expected complex or db_phase)")
+    return SWEEP_COLUMNS[fmt]
+
+
 def parse_sweep_file(path):
     """Parse a complex or dB/phase S21 sweep file into a ComplexSweep."""
-    header, names, lines, start = read_lines(path)
-    fmt = header.get("format", "complex")
-    if fmt == "complex":
-        f, re, im = float_columns(path, names, lines, start,
-                                  ("frequency_hz", "s21_real", "s21_imag"))
-        z = re + 1j * im
-    elif fmt == "db_phase":
-        f, db, ph = float_columns(path, names, lines, start,
-                                  ("frequency_hz", "s21_mag_db", "s21_phase_rad"))
-        z = db_phase_to_complex(db, ph)
+    header, (f, a, b), first = read_columns(path, _sweep_layout)
+    if header.get("format", "complex") == "complex":
+        z = a + 1j * b
     else:
-        raise ParseError(path, 1, f"unknown format '{fmt}' (expected complex or db_phase)")
+        z = db_phase_to_complex(a, b)
 
     process = None
     if "process" in header:
@@ -394,27 +454,25 @@ def parse_sweep_file(path):
             source=str(path),
         )
     except DataError as exc:
-        raise ParseError(path, start + 1, str(exc)) from None
+        raise ParseError(path, first, str(exc)) from None
 
 
 def parse_rt_file(path):
-    header, names, lines, start = read_lines(path)
-    t, r = float_columns(path, names, lines, start, ("temperature_k", "resistance_ohm"))
+    header, (t, r), first = read_columns(path, ("temperature_k", "resistance_ohm"))
     try:
         return RtSweep(temperature_k=t, resistance_ohm=r,
                        header=dict(header), source=str(path))
     except DataError as exc:
-        raise ParseError(path, start + 1, str(exc)) from None
+        raise ParseError(path, first, str(exc)) from None
 
 
 def parse_xrd_file(path):
-    header, names, lines, start = read_lines(path)
-    tt, c = float_columns(path, names, lines, start, ("two_theta_deg", "counts"))
+    header, (tt, c), first = read_columns(path, ("two_theta_deg", "counts"))
     try:
         return XrdScan(two_theta_deg=tt, counts=c,
                        header=dict(header), source=str(path))
     except DataError as exc:
-        raise ParseError(path, start + 1, str(exc)) from None
+        raise ParseError(path, first, str(exc)) from None
 
 
 def parse_sheet_file(path):
@@ -423,15 +481,16 @@ def parse_sheet_file(path):
     Columns: wafer_id site r_square_ohm_sq. Each wafer must appear with
     exactly nine sites.
     """
-    header, names, lines, start = read_lines(path)
-    _check_names(path, names, ("wafer_id", "site", "r_square_ohm_sq"), start)
     wafers = {}
     first_line = {}
-    for lineno, tokens in _data_rows(path, lines, start, 3):
-        wafer, site, r_tok = tokens
-        r = _float_cell(r_tok, path, lineno, "r_square_ohm_sq")
-        wafers.setdefault(wafer, []).append((site, r))
-        first_line.setdefault(wafer, lineno)
+    with open_text(path) as fh:
+        header, names, lineno, _ = _scan_header(path, fh)
+        _pick_layout(path, names, (("wafer_id", "site", "r_square_ohm_sq"),))
+        for lineno, tokens in _data_rows(path, fh, lineno, 3):
+            wafer, site, r_tok = tokens
+            r = _float_cell(r_tok, path, lineno, "r_square_ohm_sq")
+            wafers.setdefault(wafer, []).append((site, r))
+            first_line.setdefault(wafer, lineno)
     maps = []
     for wafer, pairs in wafers.items():
         if len(pairs) != 9:
@@ -504,7 +563,7 @@ def write_sheet_file(path, maps):
         wafer_col.extend([m.wafer_id] * 9)
         site_col.extend(m.sites)
         r_col.extend(m.r_square_ohm_sq.tolist())
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for key, value in header.items():
             fh.write(f"#{key}={value}\n")
         fh.write("wafer_id site r_square_ohm_sq\n")
@@ -558,7 +617,7 @@ def write_report(path, kind, body, inputs=(), plot_data=None):
         companions[name] = os.path.basename(cpath)
         written.append(cpath)
     doc["plot_data"] = companions
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(_sanitize(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
     return written
@@ -581,11 +640,12 @@ def _sanitize(obj):
 
 
 def read_report(path):
-    with open(path, "r") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, f"not a valid report: {exc.msg}") from None
+    with open_text(path) as fh:
+        text = utf8_text(path, 1, fh.read())
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"not a valid report: {exc.msg}") from None
 
 
 def qty(value, unit=None, sigma=None):

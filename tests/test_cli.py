@@ -1,5 +1,7 @@
 """Command-line pipeline: synth, scan, fit, power, budget, film commands."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpwloss import cli, dataio, synth
 from cpwloss.dataio import ComplexSweep
-from cpwloss.errors import DataError
+from cpwloss.errors import CpwLossError, DataError
 
 
 def run(*argv):
@@ -514,6 +518,124 @@ class TestErrors:
         assert len(lines) == 1
         assert lines[0].startswith("cpwloss fit: error: ")
         assert "No such file" in lines[0] and str(missing) in lines[0]
+
+
+def notch_rows(n=40):
+    """Data rows of a 40-point notch sweep on a 10 kHz grid."""
+    f = 5e9 + 1e4 * np.arange(n)
+    z = 1 - 0.5 / (1 + 2j * (f - f[n // 2]) / 4e4)
+    return [f"{a:.12g} {b.real:.12g} {b.imag:.12g}" for a, b in zip(f, z)]
+
+
+def sweep_bytes(rows):
+    return ("#power_dbm=-80\nfrequency_hz s21_real s21_imag\n"
+            + "\n".join(rows) + "\n").encode()
+
+
+def insert_byte(data, lineno, byte):
+    """data with byte put after the first space of line lineno."""
+    lines = data.split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1].replace(b" ", b" " + byte, 1)
+    return b"\n".join(lines)
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 ends in one error line that names its line."""
+
+    @pytest.mark.parametrize("content,argv,line,byte", [
+        (b"#format=complex\nfrequency_hz s21_real s21_imag\n1 2 \xff\n",
+         ("scan",), 3, "ff"),
+        (insert_byte(sweep_bytes(notch_rows()), 33, b"\xff"), ("scan",), 33, "ff"),
+        (b"#operator=J\xfcrgen\n" + sweep_bytes(notch_rows()), ("scan",), 1, "fc"),
+        (b"wafer_id site r_square_ohm_sq\nW\x80 c 11.7\n", ("sheet",), 2, "80"),
+        (b"seed=1\nout=\xe9\n", ("synth", "notch", "--config"), 2, "e9"),
+        (b'{\n  "body": "\xc3("\n}\n', ("fit", "notch.dat", "--windows"), 2, "c3"),
+    ], ids=["header_end", "data_row", "header_value", "sheet", "config", "report"])
+    def test_named(self, tmp_path, monkeypatch, capsys, content, argv, line, byte):
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "notch") == 0
+        (tmp_path / "bad.dat").write_bytes(content)
+        capsys.readouterr()
+        assert run(*argv, "bad.dat", "--out", "o") == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"cpwloss {argv[0]}: error: bad.dat:{line}: invalid UTF-8 byte 0x{byte}"]
+        assert captured.out == ""
+
+
+# Valid input files of each parsed kind: (command, header lines, data rows).
+VALID_FILES = {
+    "sweep": (("scan",), ["#power_dbm=-80", "frequency_hz s21_real s21_imag"],
+              notch_rows()),
+    "rt": (("rrr",), ["temperature_k resistance_ohm"],
+           [f"{t:.12g} {0.0 if t < 5 else 20.0 + 0.3 * t:.12g}"
+            for t in np.geomspace(2, 300, 50)]),
+    "xrd": (("xrd",), ["two_theta_deg counts"],
+            [f"{tt:.12g} {100 + 900 * np.exp(-(tt - 36.8) ** 2 / 0.1):.12g}"
+             for tt in np.linspace(30, 80, 501)]),
+    "sheet": (("sheet", "--thickness-nm", "60"),
+              ["#batch_id=W03", "wafer_id site r_square_ohm_sq"],
+              [f"{w} {s} {11.0 + 0.1 * s:.12g}" for w in ("w1", "w2") for s in range(1, 10)]),
+}
+PARSERS = {"sweep": dataio.parse_sweep_file, "rt": dataio.parse_rt_file,
+           "xrd": dataio.parse_xrd_file, "sheet": dataio.parse_sheet_file}
+
+
+@st.composite
+def mutated_files(draw):
+    """(kind, bytes): a valid file of one kind with one random defect."""
+    kind = draw(st.sampled_from(sorted(VALID_FILES)))
+    _, header, rows = VALID_FILES[kind]
+    rows = [row.split() for row in rows]
+    k = draw(st.integers(0, len(rows) - 1))
+    mutation = draw(st.sampled_from(["truncate", "drop_cell", "add_cell", "bad_cell",
+                                     "swap_rows", "bad_utf8"]))
+    if mutation == "drop_cell":
+        del rows[k][draw(st.integers(0, len(rows[k]) - 1))]
+    elif mutation == "add_cell":
+        rows[k].insert(draw(st.integers(0, len(rows[k]))), "1.5")
+    elif mutation == "bad_cell":
+        rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(
+            st.sampled_from(["nan", "-inf", "inf", "banana", "1e", "0x1p3", "--1"]))
+    elif mutation == "swap_rows":
+        j = draw(st.integers(0, len(rows) - 2))
+        j += j >= k
+        rows[k], rows[j] = rows[j], rows[k]
+    data = ("\n".join(header + [" ".join(row) for row in rows]) + "\n").encode()
+    if mutation == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif mutation == "bad_utf8":
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    return kind, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_files())
+def test_mutated_file_error_contract(tmp_path_factory, case):
+    # a parse returns a value or raises CpwLossError; the command that
+    # reads the file then ends in rc 0, or in rc 1 and one error line,
+    # which is the parse error when there is one
+    kind, data = case
+    argv, _, _ = VALID_FILES[kind]
+    path = tmp_path_factory.getbasetemp() / f"mutated_{kind}.dat"
+    path.write_bytes(data)
+    try:
+        PARSERS[kind](path)
+        parse_error = None
+    except CpwLossError as exc:
+        parse_error = exc
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([argv[0], str(path), *argv[1:],
+                       "--out", str(tmp_path_factory.getbasetemp() / "mutated_out")])
+    lines = err.getvalue().splitlines()
+    if parse_error is not None:
+        assert (rc, lines) == (1, [f"cpwloss {argv[0]}: error: {parse_error}"])
+    elif rc != 0:
+        assert rc == 1 and len(lines) == 1
+        assert lines[0].startswith(f"cpwloss {argv[0]}: error: ")
 
 
 class TestBadNumbers:
