@@ -9,43 +9,9 @@ Modules:
     stats       box summaries and process grouping
     synth       synthetic data generators with ground truth
     cli         the `cpwloss` command line frontend
+    errors      the exception types
+
+The package root holds only __version__; import from the modules.
 """
 
-from .errors import CpwLossError, DataError, FitError, ParseError
-from .dataio import (
-    ComplexSweep, ProcessKey, RtSweep, SheetMap, XrdScan,
-    parse_process, parse_rt_file, parse_sheet_file, parse_sweep_file,
-    parse_xrd_file, read_report, write_report, write_sweep_file,
-)
-from .circlefit import ResonanceFit, fit_resonance, notch_model, synthesize_notch
-from .tlsloss import (
-    LossPoint, TlsFit, assemble_series, eval_tls_model, fit_tls, photon_number,
-)
-from .lossbudget import (
-    InterfaceLosses, ParticipationRow, ParticipationTable,
-    decompose, forward_loss, interpolate, load_builtin_table, load_table,
-)
-from .filmchar import (
-    PeakFit, classify_orientation, extract_tc_rrr, fit_peaks,
-    resistivity, scherrer_ratio, sheet_stats,
-)
-from .stats import BoxSummary, box_summary, compare_medians, group_by_process
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CpwLossError", "DataError", "FitError", "ParseError",
-    "ComplexSweep", "ProcessKey", "RtSweep", "SheetMap", "XrdScan",
-    "parse_process", "parse_rt_file", "parse_sheet_file", "parse_sweep_file",
-    "parse_xrd_file", "read_report", "write_report", "write_sweep_file",
-    "ResonanceFit", "fit_resonance", "notch_model", "synthesize_notch",
-    "LossPoint", "TlsFit", "assemble_series", "eval_tls_model", "fit_tls",
-    "photon_number",
-    "InterfaceLosses", "ParticipationRow", "ParticipationTable",
-    "decompose", "forward_loss", "interpolate", "load_builtin_table",
-    "load_table",
-    "PeakFit", "classify_orientation", "extract_tc_rrr", "fit_peaks",
-    "resistivity", "scherrer_ratio", "sheet_stats",
-    "BoxSummary", "box_summary", "compare_medians", "group_by_process",
-    "__version__",
-]

@@ -42,6 +42,8 @@ def notch_model(f, fr, Ql, Qc_mag, phi, a=1.0, alpha=0.0, tau=0.0):
 
 def default_frequencies(fr, Ql, span_linewidths=10.0, npoints=1001):
     """Symmetric frequency grid around fr covering span_linewidths*fr/Ql."""
+    if not Ql > 0:
+        raise DataError(f"Ql must be positive, got {float(Ql)!r}")
     half = 0.5 * span_linewidths * fr / Ql
     return np.linspace(fr - half, fr + half, npoints)
 
@@ -144,7 +146,7 @@ def _smooth5(values):
 
 
 def _initial_guesses(f, zc):
-    """(fr, Ql, off-resonant point) guesses from a delay-corrected trace."""
+    """(fr, Ql) guesses from a delay-corrected trace."""
     n = f.size
     # locate the deepest dip first (ties in multi-dip windows break to the
     # deepest), then place fr at the sharpest S21 motion near it
@@ -173,7 +175,7 @@ def _initial_guesses(f, zc):
                 ql0 = fr0 / width
     if ql0 is None:
         ql0 = 10.0 * fr0 / (f[-1] - f[0])
-    return fr0, ql0, p_off
+    return fr0, ql0
 
 
 def _phase_model(f, theta0, Ql, fr):
@@ -271,7 +273,7 @@ def fit_resonance(sweep):
         raise FitError(f"no dip found: circle diameter {2 * radius:.3g} is "
                        f"below the noise floor ({noise:.3g} per quadrature)")
 
-    fr0, ql0, p_off = _initial_guesses(f, zc)
+    fr0, ql0 = _initial_guesses(f, zc)
     theta0, ql_g, fr_g = _fit_phase(f, zc - center, fr0, ql0)
 
     beta = _wrap_angle(theta0 - np.pi)

@@ -23,12 +23,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
-from . import dataio, filmchar, lossbudget, stats, synth, tlsloss
-from .circlefit import default_frequencies, fit_resonance, notch_model, synthesize_notch
+from . import dataio
 from .errors import CpwLossError, DataError, FitError
 
 # Seed used by synth and anything stochastic when none is given.
@@ -37,24 +36,15 @@ DEFAULT_SEED = 12345
 PROXIMITY_LIMIT_HZ = 50e6  # nominal resonator spacing is 200 MHz
 
 
-@dataclass
-class RunConfig:
-    """Merged command options (flags over config file over defaults)."""
+def split_pair(text, error):
+    """(key, value) of 'key=value', both stripped, '-' in the key read as '_'.
 
-    command: str
-    inputs: tuple = ()
-    out_dir: str = "."
-    seed: int = DEFAULT_SEED
-    attenuation_db: float = None
-    trench_nm: float = None
-    windows: str = None
-    prominence_db: float = 3.0
-    thickness_nm: float = None
-    table: str = None
-    losses: str = None
-    decompose: str = None
-    kind: str = None
-    params: dict = field(default_factory=dict)
+    Only the first '=' splits; without one, DataError(error) is raised.
+    """
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise DataError(error)
+    return key.strip().replace("-", "_"), value.strip()
 
 
 def parse_config_file(path):
@@ -63,71 +53,49 @@ def parse_config_file(path):
     with dataio.open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = dataio.utf8_text(path, lineno, raw).split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got '{line}'")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            if line:
+                key, value = split_pair(
+                    line, f"{path}:{lineno}: expected key=value, got '{line}'")
+                values[key] = value
     return values
 
 
+# Options that a flag or the --config file sets: key -> (type, default).
 _CONFIG_TYPES = {
-    "out": str, "seed": int,
-    "attenuation_db": float, "trench_nm": float, "windows": str,
-    "prominence_db": float, "thickness_nm": float,
-    "table": str, "losses": str, "decompose": str,
+    "out": (str, "."), "seed": (int, DEFAULT_SEED),
+    "attenuation_db": (float, None), "trench_nm": (float, None),
+    "windows": (str, None), "prominence_db": (float, 3.0),
+    "thickness_nm": (float, None),
+    "table": (str, None), "losses": (str, None), "decompose": (str, None),
 }
 
 
 def build_config(args):
-    """RunConfig from parsed argparse namespace plus optional config file."""
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    """Set every _CONFIG_TYPES key on the argparse namespace args, in place:
+    the flag if given, else the --config file's value, else the default.
+    """
+    file_values = parse_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values) - set(_CONFIG_TYPES))
     if unknown:
         raise DataError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
                         f"valid keys: {', '.join(_CONFIG_TYPES)}")
-    merged = {}
-    for key, cast in _CONFIG_TYPES.items():
+    for key, (cast, default) in _CONFIG_TYPES.items():
         flag = getattr(args, key, None)
         if flag is not None:
             text, what = flag, "--" + key.replace("_", "-")
         elif key in file_values:
             text, what = file_values[key], f"config key {key}"
         else:
+            setattr(args, key, default)
             continue
         try:
-            merged[key] = parse_number(text, what) if cast is float else cast(text)
+            value = parse_number(text, what) if cast is float else cast(text)
         except ValueError:
             raise DataError(f"{what}: cannot parse '{text}' as {cast.__name__}") from None
-        if key == "seed" and merged[key] < 0:
+        if key == "seed" and value < 0:
             raise DataError(f"{what} must be >= 0, got {text}")
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, "inputs", ()) or ()),
-        out_dir=merged.get("out", "."),
-        seed=merged.get("seed", DEFAULT_SEED),
-        attenuation_db=merged.get("attenuation_db"),
-        trench_nm=merged.get("trench_nm"),
-        windows=merged.get("windows"),
-        prominence_db=merged.get("prominence_db", 3.0),
-        thickness_nm=merged.get("thickness_nm"),
-        table=merged.get("table"),
-        losses=merged.get("losses"),
-        decompose=merged.get("decompose"),
-        kind=getattr(args, "kind", None),
-        params=parse_params(getattr(args, "params", ()) or ()),
-    )
-
-
-def parse_params(pairs):
-    params = {}
-    for item in pairs:
-        if "=" not in item:
-            raise DataError(f"synth parameter '{item}' must be key=value")
-        key, value = item.split("=", 1)
-        params[key.strip().replace("-", "_")] = value.strip()
-    return params
+        setattr(args, key, value)
+    return args
 
 
 def parse_number(text, what):
@@ -157,8 +125,8 @@ def parse_spans(text, unit):
 
 
 def _out_path(cfg, name):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+    os.makedirs(cfg.out, exist_ok=True)
+    return os.path.join(cfg.out, name)
 
 
 # ---------------------------------------------------------------- scan
@@ -261,6 +229,7 @@ def slice_sweep(sweep, f_lo, f_hi, label):
 
 
 def cmd_fit(cfg):
+    from .circlefit import fit_resonance, notch_model
     items = []  # (sort_key, label, sweep or the DataError that slicing raised)
     if cfg.windows:
         if len(cfg.inputs) != 1:
@@ -319,6 +288,7 @@ def cmd_fit(cfg):
 # --------------------------------------------------------------- power
 
 def cmd_power(cfg):
+    from . import tlsloss
     sweeps = [dataio.parse_sweep_file(path) for path in cfg.inputs]
     points, diagnostics = tlsloss.assemble_series(sweeps, cfg.attenuation_db)
     fit = tlsloss.fit_tls(points)
@@ -356,6 +326,7 @@ def cmd_power(cfg):
 # -------------------------------------------------------------- budget
 
 def cmd_budget(cfg):
+    from . import lossbudget
     if (cfg.losses is None) == (cfg.decompose is None):
         raise DataError("budget needs exactly one of --losses FILE (forward) "
                         "or --decompose FILE")
@@ -409,6 +380,7 @@ def cmd_budget(cfg):
 # ----------------------------------------------------------------- xrd
 
 def cmd_xrd(cfg):
+    from . import filmchar
     if cfg.windows:
         windows = parse_spans(cfg.windows, "degrees")
     else:
@@ -451,6 +423,7 @@ def cmd_xrd(cfg):
 # ----------------------------------------------------------------- rrr
 
 def cmd_rrr(cfg):
+    from . import filmchar
     sweep = dataio.parse_rt_file(cfg.inputs[0])
     result = filmchar.extract_tc_rrr(sweep)
     body = {"tc_rrr": result}
@@ -467,6 +440,7 @@ def cmd_rrr(cfg):
 # --------------------------------------------------------------- sheet
 
 def cmd_sheet(cfg):
+    from . import filmchar
     maps = dataio.parse_sheet_file(cfg.inputs[0])
     result = filmchar.sheet_stats(maps)
     body = {"sheet_stats": result, "n_wafers": len(maps)}
@@ -485,6 +459,7 @@ def cmd_sheet(cfg):
 # -------------------------------------------------------------- report
 
 def cmd_report(cfg):
+    from . import stats
     root = cfg.inputs[0]
     if not os.path.isdir(root):
         raise DataError(f"{root}: report expects a directory of analysis reports")
@@ -534,20 +509,28 @@ def cmd_report(cfg):
 
 # --------------------------------------------------------------- synth
 
-def _params_float(params, defaults):
-    """Merge string params over float defaults.
+def _params_float(pairs, defaults):
+    """Merge 'key=value' pairs over defaults, typed like each default.
 
-    Unknown keys and non-finite numbers raise DataError.
+    A pair without '=', an unknown key, a non-finite number and an int
+    parameter that is not an integer >= 1 raise DataError.
     """
     out = dict(defaults)
-    for key, value in params.items():
+    for item in pairs:
+        key, value = split_pair(item, f"synth parameter '{item}' must be key=value")
         if key not in defaults:
             raise DataError(f"unknown synth parameter '{key}'; valid: "
                             f"{', '.join(sorted(defaults))}")
+        what = f"synth parameter '{key}'"
         if isinstance(defaults[key], str):
             out[key] = value
+        elif isinstance(defaults[key], int):
+            number = parse_number(value, what)
+            if not (number.is_integer() and number >= 1):
+                raise DataError(f"{what} must be an integer >= 1, got '{value}'")
+            out[key] = int(number)
         else:
-            out[key] = parse_number(value, f"synth parameter '{key}'")
+            out[key] = parse_number(value, what)
     return out
 
 
@@ -560,6 +543,8 @@ def _write_truth(cfg, truth):
 
 
 def cmd_synth(cfg):
+    from . import synth
+    from .circlefit import default_frequencies, synthesize_notch
     kind = cfg.kind
     seed = cfg.seed
     written = []
@@ -570,7 +555,7 @@ def cmd_synth(cfg):
             "noise": 0.0, "npoints": 1001, "span_linewidths": 10.0,
         })
         freqs = default_frequencies(p["fr"], p["ql"], p["span_linewidths"],
-                                    int(p["npoints"]))
+                                    p["npoints"])
         sweep = synthesize_notch(p["fr"], p["ql"], p["qc"], p["phi"],
                                  a=p["a"], alpha=p["alpha"], tau=p["tau"],
                                  frequencies=freqs, noise_sigma=p["noise"],
@@ -590,14 +575,14 @@ def cmd_synth(cfg):
             "resonator_id": "R0", "process": "",
         })
         powers = [p["power_start_dbm"] + k * p["power_step_db"]
-                  for k in range(int(p["n_powers"]))]
+                  for k in range(p["n_powers"])]
         sweeps, truth = synth.synthesize_power_series(
             fr=p["fr"], qc_mag=p["qc"], phi=p["phi"],
             delta_tls=p["delta_tls"], n_c=p["n_c"], beta=p["beta"],
             delta_hp=p["delta_hp"], powers_dbm=powers,
             attenuation_db=p["attenuation_db"], a=p["a"], alpha=p["alpha"],
             tau=p["tau"], noise_sigma=p["noise"], seed=seed,
-            resonator_id=p["resonator_id"], npoints=int(p["npoints"]))
+            resonator_id=p["resonator_id"], npoints=p["npoints"])
         for k, sweep in enumerate(sweeps):
             if p["process"]:
                 sweep = replace(sweep, process=dataio.parse_process(p["process"]))
@@ -612,9 +597,9 @@ def cmd_synth(cfg):
             "noise": 0.0, "npoints": 72001,
         })
         resonators = synth.default_feedline_resonators(
-            int(p["n_res"]), p["f_start"], p["spacing"])
+            p["n_res"], p["f_start"], p["spacing"])
         sweep, truth = synth.synthesize_feedline(
-            resonators, npoints=int(p["npoints"]), a=p["a"], alpha=p["alpha"],
+            resonators, npoints=p["npoints"], a=p["a"], alpha=p["alpha"],
             tau=p["tau"], noise_sigma=p["noise"], seed=seed)
         path = _out_path(cfg, "feedline.dat")
         dataio.write_sweep_file(path, sweep)
@@ -650,7 +635,7 @@ def cmd_synth(cfg):
         written = [path, _write_truth(cfg, truth)]
     else:
         raise DataError(f"unknown synth kind '{kind}'")
-    print(f"synth {kind}: wrote {len(written)} files under {cfg.out_dir}")
+    print(f"synth {kind}: wrote {len(written)} files under {cfg.out}")
     return 0
 
 

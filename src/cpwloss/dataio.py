@@ -354,7 +354,7 @@ def read_columns(path, *layouts):
             values = np.array([[_float_cell(tok, path, n, name)
                                 for name, tok in zip(layout, tokens)]
                                for n, tokens in _data_rows(path, fh, lineno, len(layout))])
-    return header, list(values.T.copy()), lineno
+    return header, list(values.T), lineno
 
 
 def _header_float(header, key, path):

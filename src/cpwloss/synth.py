@@ -62,6 +62,10 @@ def synthesize_power_series(fr=5.2e9, qc_mag=2.0e5, phi=0.02,
     describe a resonator whose Qi really follows the saturation
     curve. Returns (sweeps, truth).
     """
+    if not (fr > 0 and qc_mag > 0):
+        raise DataError("fr and qc_mag must be positive")
+    if noise_sigma < 0:
+        raise DataError("noise_sigma must be >= 0")
     if powers_dbm is None:
         powers_dbm = np.arange(-95.0, -95.0 + 5.0 * 12, 5.0)
     powers_dbm = [float(p) for p in powers_dbm]
@@ -125,6 +129,8 @@ def synthesize_feedline(resonators=None, f_lo=None, f_hi=None,
         resonators = default_feedline_resonators()
     if not resonators:
         raise DataError("feedline needs at least one resonator")
+    if noise_sigma < 0:
+        raise DataError("noise_sigma must be >= 0")
     frs = np.array([r["fr"] for r in resonators])
     margin = 0.1 * (frs.max() - frs.min() + 200e6)
     if f_lo is None:
@@ -169,6 +175,8 @@ def synthesize_rt(tc=4.7, width=0.2, r_normal=25.0, rrr=4.0,
         raise DataError("need 0 < t_min < tc < 300 K")
     if width <= 0 or r_normal <= 0 or rrr <= 0:
         raise DataError("width, r_normal, and rrr must be positive")
+    if noise_sigma < 0:
+        raise DataError("noise_sigma must be >= 0")
     t = np.unique(np.concatenate([
         np.linspace(t_min, tc + 3.0, 561),
         np.linspace(tc + 3.0, 300.0, 240),
@@ -199,6 +207,10 @@ def synthesize_xrd(peaks=None, baseline=(50.0, 0.0),
     """
     if peaks is None:
         peaks = [(36.9, 0.4, 500.0, 0.3)]
+    if not step > 0:
+        raise DataError(f"step must be > 0 degrees, got {step:g}")
+    if noise_sigma < 0:
+        raise DataError("noise_sigma must be >= 0")
     x = np.arange(two_theta_lo, two_theta_hi + 0.5 * step, step)
     counts = baseline[0] + baseline[1] * x
     for center, fwhm, amplitude, eta in peaks:

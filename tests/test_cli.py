@@ -765,13 +765,122 @@ class TestBadNumbers:
         self.assert_one_error(
             capsys, "synth", "peak '36.9:inf:500:0.3' must be finite, got 'inf'")
 
+    @pytest.mark.parametrize("kind,param,text", [
+        ("notch", "npoints=-5", "synth parameter 'npoints' must be an integer >= 1, got '-5'"),
+        ("xrd", "step=0", "step must be > 0 degrees, got 0"),
+        ("power_series", "n_powers=-1",
+         "synth parameter 'n_powers' must be an integer >= 1, got '-1'"),
+        ("rt", "noise=-1", "noise_sigma must be >= 0"),
+        ("notch", "ql=0", "Ql must be positive, got 0.0"),
+        ("power_series", "qc=0", "fr and qc_mag must be positive"),
+    ], ids=["notch_npoints", "xrd_step", "power_series_n_powers", "rt_noise",
+            "notch_ql", "power_series_qc"])
+    def test_synth_out_of_range(self, tmp_path, capsys, kind, param, text):
+        assert run("synth", kind, param, "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "synth", text)
+        assert not (tmp_path / "truth.json").exists()
+
+
+# Spellings that no number option, loss value or synth parameter reads.
+BAD_SPELLINGS = ["", "abc", "nan", "-inf", "1e", "--1", "0x1p3", "1.2.3", "1,5", "5 GHz"]
+# Pairs without an '='.
+NO_EQUALS = ["abc", "noise", "seed 7", "1.5"]
+
+
+@st.composite
+def bad_pairs(draw, rejects, unknown_keys):
+    """One key=value item that is refused: an unknown key, no '=', or a
+    known key whose value is a bad spelling or a small integer that
+    rejects[key] (an inclusive range, or None) holds."""
+    form = draw(st.sampled_from(["value", "unknown", "no_equals"]))
+    if form == "unknown":
+        return f"{draw(st.sampled_from(unknown_keys))}=1"
+    if form == "no_equals":
+        return draw(st.sampled_from(NO_EQUALS))
+    key = draw(st.sampled_from(sorted(rejects)))
+    values = st.sampled_from(BAD_SPELLINGS)
+    if rejects[key] is not None:
+        values |= st.integers(*rejects[key]).map(str)
+    spelled = draw(st.sampled_from([key, key.replace("_", "-"), f" {key} "]))
+    return f"{spelled}={draw(values)}"
+
+
+def assert_one_error_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([str(a) for a in argv])
+    lines = err.getvalue().splitlines()
+    assert (rc, len(lines)) == (1, 1), lines
+    assert lines[0].startswith(f"cpwloss {argv[0]}: error: ")
+
+
+@pytest.fixture(scope="module")
+def notch_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("notch")
+    assert run("synth", "notch", "--out", d) == 0
+    return d
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=bad_pairs({"seed": (-100, -1), "prominence_db": (-100, 0),
+                      "attenuation_db": None, "trench_nm": None, "thickness_nm": None},
+                     ["out_dir", "atenuation_db", "Seed", "jobs", "kind"]),
+       filler=st.lists(st.sampled_from(["", "# comment", "windows=1:2", "table=t.dat"]),
+                       max_size=3),
+       at=st.integers(0, 3))
+def test_config_pair_error_contract(notch_dir, bad, filler, at):
+    cfg = notch_dir / "fuzz.cfg"
+    cfg.write_text("\n".join(filler[:at] + [bad] + filler[at:]) + "\n")
+    assert_one_error_line(["scan", notch_dir / "notch.dat", "--config", cfg,
+                           "--out", notch_dir / "fuzz_out"])
+
+
+LOSS_LINES = ["delta_sa=1e-3", "delta_ma=1e-3", "delta_ms=1e-3", "delta_si=1e-7"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(bad=bad_pairs({"delta_sa": (-100, -1), "delta_ma": (-100, -1),
+                      "delta_ms": (-100, -1), "delta_si": (-100, -1)},
+                     ["delta_xx", "Delta_sa", "delta", "trench_nm"]),
+       drop=st.booleans(), at=st.integers(0, 4))
+def test_losses_pair_error_contract(notch_dir, bad, drop, at):
+    # the bad line takes the place of its key's valid line, so no later
+    # line overrides it; drop deletes the first valid line as well
+    key = bad.partition("=")[0].strip().replace("-", "_")
+    lines = [line for line in LOSS_LINES[drop:] if not line.startswith(key + "=")]
+    lines.insert(at, bad)
+    path = notch_dir / "fuzz_losses.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert_one_error_line(["budget", "--losses", path, "--trench-nm", 50,
+                           "--out", notch_dir / "fuzz_out"])
+
+
+# Numeric synth parameters, each with the small integers that it rejects.
+SYNTH_REJECTS = {
+    "notch": {"fr": (-100, 0), "ql": (-100, 0), "qc": (-100, 0), "a": (-100, 0),
+              "noise": (-100, -1), "npoints": (-100, 31), "phi": None, "tau": None},
+    "rt": {"tc": (-100, 2), "width": (-100, 0), "r_normal": (-100, 0),
+           "rrr": (-100, 0), "t_min": (-100, 0), "noise": (-100, -1)},
+    "xrd": {"step": (-100, 0), "noise": (-100, -1), "lo": (-100, 9), "b0": None},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(SYNTH_REJECTS)))
+def test_synth_pair_error_contract(tmp_path_factory, data, kind):
+    bad = data.draw(bad_pairs(SYNTH_REJECTS[kind], ["bogus", "FR", "noise_sigma", "seed"]))
+    assert_one_error_line(["synth", kind, bad,
+                           "--out", tmp_path_factory.getbasetemp() / "fuzz_synth"])
+
 
 def test_cli_import_loads_no_scipy():
-    """`import cpwloss.cli` loads no scipy module; solvers load when called."""
+    """`import cpwloss.cli` loads no scipy module and, of cpwloss, only what
+    every command uses; each command imports the modules it runs."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import cpwloss.cli, sys; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+    code = ("import cpwloss.cli, sys; print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'cpwloss')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["cpwloss", "cpwloss.cli", "cpwloss.dataio",
+                                   "cpwloss.errors"]
