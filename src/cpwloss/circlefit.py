@@ -115,8 +115,11 @@ def _phase_increments(z):
     return np.angle(z[1:] * np.conj(z[:-1]))
 
 
-def _wing_slices(n, fraction=0.2):
-    k = max(2, int(round(n * fraction)))
+WING_FRACTION = 0.2
+
+
+def _wing_slices(n):
+    k = max(2, int(round(n * WING_FRACTION)))
     return slice(0, k), slice(n - k, n)
 
 
@@ -140,30 +143,24 @@ def _wing_delay(f, z):
     return -0.5 * (slopes[0] + slopes[1]) / TWO_PI
 
 
-def _smooth5(values):
-    kernel = np.ones(5) / 5.0
-    return np.convolve(values, kernel, mode="same")
-
-
 def _initial_guesses(f, zc):
-    """(fr, Ql) guesses from a delay-corrected trace."""
-    n = f.size
-    # locate the deepest dip first (ties in multi-dip windows break to the
-    # deepest), then place fr at the sharpest S21 motion near it
-    i_dip = int(np.argmin(_smooth5(np.abs(zc))))
-    lo = max(0, i_dip - n // 8)
-    hi = min(n - 1, i_dip + n // 8)
-    df = np.diff(f)
-    speed = _smooth5(np.abs(np.diff(zc)) / df)
-    f_mid = 0.5 * (f[1:] + f[:-1])
-    fr0 = float(f_mid[lo:hi][np.argmax(speed[lo:hi])])
+    """(fr, Ql) start values read straight from a delay-corrected trace.
+
+    fr0 is the frequency of the deepest point of |zc|. Ql0 is fr0 over
+    the full width of the dip at half its depth below the off-resonant
+    level (the mean of the two wings); when the dip shows no width at
+    that level, Ql0 assumes a dip a tenth of the span wide. _fit_phase
+    fits both, so neither needs to be more than a start.
+    """
+    mag = np.abs(zc)
+    i_dip = int(np.argmin(mag))
+    fr0 = float(f[i_dip])
 
     left, right = _wing_slices(f.size)
     p_off = 0.5 * (zc[left].mean() + zc[right].mean())
 
     # FWHM of the magnitude dip, relative to the off-resonant level
-    mag = np.abs(zc)
-    depth = abs(p_off) - mag.min()
+    depth = abs(p_off) - mag[i_dip]
     ql0 = None
     if depth > 0:
         half_level = abs(p_off) - 0.5 * depth

@@ -111,24 +111,12 @@ def _fit_one_peak(x, y, window):
         raise FitError(f"no peak in window [{lo}, {hi}]: prominence "
                        f"{prominence:.3g} below 3x baseline noise {noise:.3g}")
 
-    # half-height crossings for the width guess
-    half = prominence / 2.0
-    i_left = i_peak
-    while i_left > 0 and detrended[i_left] > half:
-        i_left -= 1
-    i_right = i_peak
-    while i_right < x.size - 1 and detrended[i_right] > half:
-        i_right += 1
-    gamma0 = x[i_right] - x[i_left]
-    min_dx = float(np.min(np.diff(x)))
-    if gamma0 < 2 * min_dx:
-        gamma0 = (hi - lo) / 5.0
-
     # fit with the baseline anchored at the window center so intercept
     # and slope stay decorrelated
     xc = 0.5 * (lo + hi)
-    p0 = np.array([x[i_peak], gamma0, prominence, 0.5,
+    p0 = np.array([x[i_peak], (hi - lo) / 5.0, prominence, 0.5,
                    b0_init + b1_init * xc, b1_init])
+    min_dx = float(np.min(np.diff(x)))
     lower = [lo, min_dx, 0.0, 0.0, -np.inf, -np.inf]
     upper = [hi, 4.0 * (hi - lo), np.inf, 1.0, np.inf, np.inf]
 

@@ -129,6 +129,13 @@ def synthesize_feedline(resonators=None, f_lo=None, f_hi=None,
         resonators = default_feedline_resonators()
     if not resonators:
         raise DataError("feedline needs at least one resonator")
+    for k, r in enumerate(resonators):
+        for name in ("fr", "Ql", "Qc_mag"):
+            if not r[name] > 0:
+                raise DataError(f"resonator {k}: {name} must be positive, "
+                                f"got {float(r[name])!r}")
+    if not a > 0:
+        raise DataError(f"a must be positive, got {float(a)!r}")
     if noise_sigma < 0:
         raise DataError("noise_sigma must be >= 0")
     frs = np.array([r["fr"] for r in resonators])

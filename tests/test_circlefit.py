@@ -7,6 +7,7 @@ import pytest
 
 from cpwloss import circlefit, dataio
 from cpwloss.errors import DataError, FitError
+from test_acceptance import draw_notch_params
 
 
 def make_sweep(fr=6e9, ql=5e4, qc=1e5, phi=0.0, a=1.0, alpha=0.0, tau=0.0,
@@ -281,6 +282,23 @@ class TestFitResonance:
             if abs(fit.Qi - qi_true) <= 2.0 * fit.sigma["Qi"]:
                 hits += 1
         assert hits >= int(0.80 * total)
+
+    def test_acceptance_draw_noise_1e2_failures(self):
+        """The 200 acceptance draws at noise 1e-2: at most 12 fits fail, and
+        each fails loudly under the diameter gate, never in a solve."""
+        rng = np.random.default_rng(1)
+        failures = []
+        for k in range(200):
+            p = draw_notch_params(rng)
+            sweep = circlefit.synthesize_notch(
+                **p, frequencies=circlefit.default_frequencies(p["fr"], p["Ql"]),
+                noise_sigma=1e-2, seed=1000 + k)
+            try:
+                circlefit.fit_resonance(sweep)
+            except FitError as exc:
+                failures.append(str(exc))
+        assert len(failures) <= 12, failures
+        assert all(msg.startswith("no dip found") for msg in failures), failures
 
     def test_flat_trace_raises(self):
         f = np.linspace(4e9, 4.01e9, 200)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -773,10 +774,15 @@ class TestBadNumbers:
         ("rt", "noise=-1", "noise_sigma must be >= 0"),
         ("notch", "ql=0", "Ql must be positive, got 0.0"),
         ("power_series", "qc=0", "fr and qc_mag must be positive"),
+        ("feedline", "f_start=0", "resonator 0: fr must be positive, got 0.0"),
+        ("feedline", "a=0", "a must be positive, got 0.0"),
     ], ids=["notch_npoints", "xrd_step", "power_series_n_powers", "rt_noise",
-            "notch_ql", "power_series_qc"])
+            "notch_ql", "power_series_qc", "feedline_f_start", "feedline_a"])
     def test_synth_out_of_range(self, tmp_path, capsys, kind, param, text):
-        assert run("synth", kind, param, "--out", tmp_path) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("synth", kind, param, "--out", tmp_path) == 1
+        assert not caught, [str(w.message) for w in caught]
         self.assert_one_error(capsys, "synth", text)
         assert not (tmp_path / "truth.json").exists()
 

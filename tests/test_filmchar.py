@@ -52,6 +52,18 @@ class TestPeakFitting:
         assert fit.baseline_intercept == pytest.approx(50.0, rel=1e-4)
         assert fit.baseline_slope == pytest.approx(0.5, rel=1e-4)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("fwhm", [0.05, 0.08, 0.15, 0.4, 0.8, 1.2, 1.5])
+    def test_noiseless_widths(self, fwhm, eta):
+        # from 5 scan points per FWHM to half the window; the fit starts
+        # every width at a fifth of the window
+        scan = make_scan([(36.9, fwhm, 500.0, eta)])
+        fit, = fit_peaks(scan, windows=((35.4, 38.4),))
+        assert fit.center == pytest.approx(36.9, rel=1e-6)
+        assert fit.fwhm == pytest.approx(fwhm, rel=1e-6)
+        assert fit.amplitude == pytest.approx(500.0, rel=1e-6)
+        assert fit.eta == pytest.approx(eta, abs=1e-6)
+
     def test_noisy_recovery(self):
         scan = make_scan([(36.9, 0.4, 500.0, 0.3)], noise=3.0, seed=8)
         fit, = fit_peaks(scan, windows=((35.5, 38.5),))
