@@ -261,7 +261,7 @@ def fit_resonance(sweep):
     tau0 = _wing_delay(f, z)
     zc = z * np.exp(1j * TWO_PI * f * tau0)
 
-    noise = _noise_floor(z)
+    noise = _noise_floor(zc)
     try:
         center, radius = fit_circle(zc)
     except FitError as exc:

@@ -146,7 +146,7 @@ def scan_windows(sweep, prominence_db=3.0):
     size = max(51, 2 * (f.size // 100) + 1)
     if size >= f.size:
         size = max(3, 2 * (f.size // 6) + 1)
-    baseline = median_filter(mag_db, size=size, mode="nearest")
+    baseline = median_filter(mag_db, size=size, mode="mirror")
     depth = baseline - mag_db
 
     # (i, j) pairs: each run of dip points is depth[i:j] >= prominence_db

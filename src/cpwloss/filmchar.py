@@ -132,7 +132,7 @@ def _fit_one_peak(x, y, window):
                        f"{amp:.3g} below 3x baseline noise {noise:.3g}")
 
     names = ("center", "fwhm", "amplitude", "eta", "baseline_intercept", "baseline_slope")
-    sig = np.sqrt(np.clip(np.diag(cov), 0, None))
+    sig = np.sqrt(np.diag(cov))
     # transform the centered intercept back to absolute 2theta
     var_b0 = cov[4, 4] + xc ** 2 * cov[5, 5] - 2 * xc * cov[4, 5]
     sig[4] = np.sqrt(max(var_b0, 0.0))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FitError
+from .fitcov import gram_pinv
 
 LOSS_NAMES = ("delta_sa", "delta_ma", "delta_ms", "delta_si")
 
@@ -192,7 +193,7 @@ def decompose(rows, deltas, sigmas=None):
     zero_cols = norms == 0
     norms_safe = np.where(zero_cols, 1.0, norms)
     basis = aw / norms_safe
-    _, svals, vt = np.linalg.svd(basis, full_matrices=False)
+    u, svals, vt = np.linalg.svd(basis, full_matrices=False)
     rank = int(np.sum(svals >= svals[0] * RANK_TOL)) if svals[0] > 0 else 0
     if rank == 0:
         raise DataError("all participation columns are zero")
@@ -220,33 +221,28 @@ def decompose(rows, deltas, sigmas=None):
 
     combos = []
     if rank < 4:
-        # nothing (or not everything) individually resolvable; fit the
-        # resolved directions so an aggregate number survives
-        y, *_ = np.linalg.lstsq(basis, bw, rcond=None)
+        # nothing (or not everything) individually resolvable; the
+        # resolved directions vt[k] still pin down u[:, k].bw / s_k
+        u = u[:, :rank]
         for k in range(rank):
-            direction = vt[k]
             combos.append({
-                "coefficients": {n: float(c) for n, c in zip(LOSS_NAMES, direction)},
-                "value": float(direction @ y),
+                "coefficients": {n: float(c) for n, c in zip(LOSS_NAMES, vt[k])},
+                "value": float(u[:, k] @ bw / svals[k]),
             })
         if predicted_w is None:
-            predicted_w = basis @ y
+            predicted_w = u @ (u.T @ bw)
 
     predicted = predicted_w / w
     resid = deltas - predicted
     residual_rms = float(np.sqrt(np.mean((bw - predicted_w) ** 2)))
 
     if keep:
-        ata = aw[:, keep].T @ aw[:, keep]
-        try:
-            cov = np.linalg.inv(ata)
-        except np.linalg.LinAlgError:
-            cov = np.full((len(keep), len(keep)), np.nan)
+        cov = gram_pinv(aw[:, keep])
         if sigmas is None:
             dof = len(rows) - len(keep)
             scale = float(np.sum(resid ** 2) / dof) if dof > 0 else np.nan
             cov = cov * scale
-        x_sigma[keep] = np.sqrt(np.clip(np.diag(cov), 0, None))
+        x_sigma[keep] = np.sqrt(np.diag(cov))
 
     return DecomposeResult(
         losses={n: float(v) for n, v in zip(LOSS_NAMES, x)},

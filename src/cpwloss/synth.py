@@ -53,8 +53,7 @@ def synthesize_power_series(fr=5.2e9, qc_mag=2.0e5, phi=0.02,
                             powers_dbm=None, attenuation_db=60.0,
                             a=1.0, alpha=0.0, tau=30e-9,
                             noise_sigma=0.0, seed=1234,
-                            resonator_id="R0", chip_id="SYN",
-                            npoints=1001):
+                            resonator_id="R0", npoints=1001):
     """One resonator swept at several powers, following the TLS model.
 
     At each applied power the photon number and loaded Q are solved
@@ -83,7 +82,7 @@ def synthesize_power_series(fr=5.2e9, qc_mag=2.0e5, phi=0.02,
             frequencies=freqs, noise_sigma=noise_sigma,
             seed=None if noise_sigma == 0 else seed + k,
             power_dbm=p_dbm, attenuation_db=attenuation_db,
-            resonator_id=resonator_id, chip_id=chip_id,
+            resonator_id=resonator_id, chip_id="SYN",
         )
         sweeps.append(sweep)
         truth_points.append({"power_dbm": p_dbm, "n_photon": n,
@@ -116,9 +115,8 @@ def default_feedline_resonators(n_res=9, f_start=4.0e9, spacing=200e6):
     return resonators
 
 
-def synthesize_feedline(resonators=None, f_lo=None, f_hi=None,
-                        npoints=72001, a=1.0, alpha=0.3, tau=40e-9,
-                        noise_sigma=0.0, seed=4321, chip_id="SYN"):
+def synthesize_feedline(resonators=None, npoints=72001, a=1.0, alpha=0.3,
+                        tau=40e-9, noise_sigma=0.0, seed=4321):
     """Wideband transmission past several notch resonators.
 
     The trace is the product of the individual notch dips under one
@@ -140,11 +138,7 @@ def synthesize_feedline(resonators=None, f_lo=None, f_hi=None,
         raise DataError("noise_sigma must be >= 0")
     frs = np.array([r["fr"] for r in resonators])
     margin = 0.1 * (frs.max() - frs.min() + 200e6)
-    if f_lo is None:
-        f_lo = frs.min() - margin
-    if f_hi is None:
-        f_hi = frs.max() + margin
-    f = np.linspace(f_lo, f_hi, npoints)
+    f = np.linspace(frs.min() - margin, frs.max() + margin, npoints)
     z = np.ones_like(f, dtype=complex)
     for r in resonators:
         dip = notch_model(f, r["fr"], r["Ql"], r["Qc_mag"], r["phi"],
@@ -156,7 +150,7 @@ def synthesize_feedline(resonators=None, f_lo=None, f_hi=None,
         z = z + noise_sigma * (rng.standard_normal(f.size)
                                + 1j * rng.standard_normal(f.size))
     sweep = dataio.ComplexSweep(
-        frequency_hz=f, s21=z, chip_id=chip_id,
+        frequency_hz=f, s21=z, chip_id="SYN",
         header={"kind": "feedline"},
     )
     truth = {

@@ -165,10 +165,10 @@ def fit_tls(points):
                     or beta >= BETA_BOUNDS[1] * (1 - 1e-9))
 
     sigma = {
-        "delta_tls": float(np.sqrt(max(cov[0, 0], 0.0))),
-        "n_c": float(np.sqrt(max(cov[1, 1], 0.0))),
-        "beta": float(np.sqrt(max(cov[2, 2], 0.0))),
-        "delta_hp": float(np.sqrt(max(cov[3, 3], 0.0))),
+        "delta_tls": float(np.sqrt(cov[0, 0])),
+        "n_c": float(np.sqrt(cov[1, 1])),
+        "beta": float(np.sqrt(cov[2, 2])),
+        "delta_hp": float(np.sqrt(cov[3, 3])),
         "delta_lp": float(np.sqrt(max(cov[0, 0] + cov[3, 3] + 2.0 * cov[0, 3], 0.0))),
     }
     rms = float(np.sqrt(np.mean(((np.log(eval_tls_model(n, dtls, nc, beta, dhp))

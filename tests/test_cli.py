@@ -174,6 +174,16 @@ class TestScan:
             windows, mag_db, baseline = cli.scan_windows(sweep, 3.0)
             assert windows == old_scan_windows(sweep.frequency_hz, baseline - mag_db, 3.0)
 
+    @pytest.mark.parametrize("index", [0, 399])
+    def test_dip_at_trace_end(self, index):
+        # the real moving median: a one-point dip at either end of the
+        # trace must not set its own baseline
+        sweep = dipped_sweep({index: 10.0})
+        windows, _, _ = cli.scan_windows(sweep, 3.0)
+        assert len(windows) == 1
+        assert windows[0]["f_center_hz"] == sweep.frequency_hz[index]
+        assert windows[0]["max_depth_db"] == pytest.approx(10.0)
+
     def test_close_dips_flagged(self, tmp_path):
         d = tmp_path / "close"
         assert run("synth", "feedline", "n_res=2", "spacing=30e6",

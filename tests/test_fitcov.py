@@ -26,6 +26,22 @@ def test_linear_model_matches_closed_form():
     assert covariance(res, "linear fit") == pytest.approx(expected, rel=1e-6)
 
 
+def test_ill_conditioned_jacobian():
+    # J = U diag(1, 1e-9) V^T: J^T J has condition number 1e18, past what
+    # inverting it in double precision can resolve; the SVD of J is not
+    m = 40
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((m, 2)))
+    c, s = np.cos(0.3), np.sin(0.3)
+    v = np.array([[c, -s], [s, c]])
+    jac = u @ np.diag([1.0, 1e-9]) @ v.T
+    y = rng.standard_normal(m)
+    res = least_squares(lambda p: jac @ p - y, np.zeros(2), jac=lambda p: jac)
+    s2 = 2.0 * res.cost / (m - 2)
+    expected = s2 * v @ np.diag([1.0, 1e18]) @ v.T
+    assert covariance(res, "ill-conditioned fit") == pytest.approx(expected, rel=1e-6)
+
+
 def test_singular_jacobian_uses_pseudo_inverse():
     # the second parameter never enters the residuals: its Jacobian
     # column is exactly zero and J^T J is exactly singular

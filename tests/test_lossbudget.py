@@ -164,9 +164,13 @@ class TestDecompose:
         assert result.rank == 3
         assert len(result.unresolved) > 0
         assert len(result.resolved_combinations) == 3
+        # the combinations act on the column-normalised loss tangents
+        norms = np.linalg.norm([r.vector() for r in rows], axis=0)
+        scaled_truth = dict(zip(lossbudget.LOSS_NAMES, norms * TRUTH.vector()))
         for combo in result.resolved_combinations:
             assert set(combo["coefficients"]) == set(lossbudget.LOSS_NAMES)
-            assert np.isfinite(combo["value"])
+            expected = sum(c * scaled_truth[n] for n, c in combo["coefficients"].items())
+            assert combo["value"] == pytest.approx(expected, rel=1e-9)
         for name in result.unresolved:
             assert np.isnan(result.losses[name])
 
