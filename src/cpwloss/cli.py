@@ -131,22 +131,62 @@ def _out_path(cfg, name):
 
 # ---------------------------------------------------------------- scan
 
+def moving_median(x, size):
+    """Median of every odd-size window of x, centred, the ends mirrored.
+
+    Equal to scipy.ndimage.median_filter(x, size, mode="mirror") for
+    size < 2 * x.size, without importing scipy: np.pad's "reflect" mode
+    is scipy's "mirror". All windows are answered together by a wavelet
+    matrix ("The wavelet matrix", SPIRE 2012) over the ranks of the
+    padded trace: one stable partition per bit of the rank, 19 for a
+    345k-point trace, at a cost that does not depend on size. How the
+    sort orders equal values does not matter: it changes which of them
+    is picked, never the value returned.
+    """
+    half = size // 2
+    padded = np.pad(x, half, mode="reflect")
+    order = np.argsort(padded)
+    level = np.empty(padded.size, dtype=np.int32)
+    level[order] = np.arange(padded.size, dtype=np.int32)
+    # each window [lo, hi) of the current level holds the ranks still
+    # able to be its median; k is the median's place among them
+    lo = np.arange(x.size, dtype=np.int32)
+    hi = lo + size
+    k = np.full(x.size, half, dtype=np.int32)
+    rank = np.zeros(x.size, dtype=np.int32)
+    zeros_before = np.zeros(padded.size + 1, dtype=np.int32)
+    for bit in reversed(range(max(1, (padded.size - 1).bit_length()))):
+        zero = (level & (1 << bit)) == 0
+        np.cumsum(zero, out=zeros_before[1:])
+        zl, zh = zeros_before.take(lo), zeros_before.take(hi)
+        up = k >= zh - zl
+        np.subtract(k, zh - zl, out=k, where=up)
+        rank[up] |= 1 << bit
+        n_zero = zeros_before[-1]
+        lo = np.where(up, lo - zl + n_zero, zl)
+        hi = np.where(up, hi - zh + n_zero, zh)
+        level = np.concatenate((np.compress(zero, level), np.compress(~zero, level)))
+    return padded[order[rank]]
+
+
 def scan_windows(sweep, prominence_db=3.0):
     """Locate notch dips on a wideband trace via a moving-median baseline.
 
-    Returns (windows, mag_db, baseline_db). Each window is a dict with
-    the dip center, a fitting window of +-10 estimated linewidths, and
-    a proximity flag for dips closer than 50 MHz to a neighbor.
+    The baseline is moving_median over max(51, 2 * (n // 100) + 1)
+    points, the same floats as scipy.ndimage.median_filter with
+    mode="mirror", so scan never imports scipy. Returns (windows,
+    mag_db, baseline_db). Each window is a dict with the dip center, a
+    fitting window of +-10 estimated linewidths, and a proximity flag
+    for dips closer than 50 MHz to a neighbor.
     """
     if not prominence_db > 0:
         raise DataError(f"prominence_db must be > 0 dB, got {prominence_db:g}")
-    from scipy.ndimage import median_filter
     f = sweep.frequency_hz
     mag_db = 20.0 * np.log10(np.maximum(np.abs(sweep.s21), 1e-300))
     size = max(51, 2 * (f.size // 100) + 1)
     if size >= f.size:
         size = max(3, 2 * (f.size // 6) + 1)
-    baseline = median_filter(mag_db, size=size, mode="mirror")
+    baseline = moving_median(mag_db, size)
     depth = baseline - mag_db
 
     # (i, j) pairs: each run of dip points is depth[i:j] >= prominence_db

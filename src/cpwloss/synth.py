@@ -5,13 +5,20 @@ holds exactly the parameters that produced the data, so round-trip
 tests can compare fits against it. Every stochastic generator takes
 an integer seed; the same seed reproduces the same samples bit for
 bit.
+
+The module runs on numpy alone, so `cpwloss synth` never imports scipy:
+the photon-number root solve is brentq, a port of scipy's
+optimize.brentq, and the R(T) step is logistic, the formula of scipy's
+special.expit.
 """
+
+import math
 
 import numpy as np
 
 from . import dataio
 from .circlefit import default_frequencies, notch_model, synthesize_notch
-from .errors import DataError
+from .errors import DataError, FitError
 from .filmchar import pseudo_voigt
 from .tlsloss import HBAR, chip_power_watt, eval_tls_model
 
@@ -24,16 +31,79 @@ def loaded_q(delta_i, qc_mag, phi):
     return float(1.0 / inv_ql)
 
 
+def brentq(f, xa, xb, xtol, rtol, maxiter):
+    """Root of f in [xa, xb] by Brent's method.
+
+    A line-for-line port of scipy's C brentq
+    (scipy/optimize/Zeros/brentq.c, BSD licence, after Brent 1973), so
+    it returns the same float as scipy.optimize.brentq for the same
+    arguments. A root that is not bracketed or not found within
+    maxiter iterations raises FitError.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise FitError(f"root not bracketed in [{xa:g}, {xb:g}]")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise FitError(f"root solve in [{xa:g}, {xb:g}] did not converge "
+                   f"in {maxiter} iterations")
+
+
 def solve_photon_number(p_chip_w, fr, qc_mag, phi,
                         delta_tls, n_c, beta, delta_hp):
     """Self-consistent mean photon number at fixed chip power.
 
     <n> depends on Ql, Ql depends on the TLS loss, and the loss
     depends on <n>; the fixed point n = coef * Ql(delta(n))^2 is
-    bracketed by n=0 and the fully saturated limit and found with a
-    root solve.
+    bracketed by n=0 and the fully saturated limit and found with
+    brentq, the port of scipy's root solver above.
     """
-    from scipy.optimize import brentq
     if p_chip_w <= 0:
         raise DataError("chip power must be positive")
     omega = 2.0 * np.pi * fr
@@ -44,7 +114,10 @@ def solve_photon_number(p_chip_w, fr, qc_mag, phi,
         return n - coef * loaded_q(delta, qc_mag, phi) ** 2
 
     n_hi = coef * loaded_q(delta_hp, qc_mag, phi) ** 2 + 1.0
-    return float(brentq(g, 0.0, n_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200))
+    if not math.isfinite(n_hi):
+        raise DataError(f"chip power {p_chip_w:g} W puts more photons in the "
+                        f"resonator than a float holds")
+    return brentq(g, 0.0, n_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
 
 
 def synthesize_power_series(fr=5.2e9, qc_mag=2.0e5, phi=0.02,
@@ -162,6 +235,25 @@ def synthesize_feedline(resonators=None, npoints=72001, a=1.0, alpha=0.3,
     return sweep, truth
 
 
+def _exp(x):
+    """math.exp, with inf where the result overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def logistic(z):
+    """1 / (1 + exp(-z)) for each value of z, as an array.
+
+    This is scipy.special.expit's formula with the same libm exp, so the
+    two agree bit for bit; numpy's own exp differs from libm by an ulp
+    at some points, which the division grows to up to 4 ulps. Far below
+    the step exp(-z) overflows and the result is 0, without a warning.
+    """
+    return np.array([1.0 / (1.0 + _exp(-v)) for v in np.asarray(z, float).tolist()])
+
+
 def synthesize_rt(tc=4.7, width=0.2, r_normal=25.0, rrr=4.0,
                   t_min=2.0, noise_sigma=0.0, seed=77):
     """Resistance vs temperature with a logistic superconducting step.
@@ -171,7 +263,6 @@ def synthesize_rt(tc=4.7, width=0.2, r_normal=25.0, rrr=4.0,
     whose 10-90 width equals the requested width. Returns
     (sweep, truth).
     """
-    from scipy.special import expit
     if not 0 < t_min < tc < 300.0:
         raise DataError("need 0 < t_min < tc < 300 K")
     if width <= 0 or r_normal <= 0 or rrr <= 0:
@@ -185,7 +276,7 @@ def synthesize_rt(tc=4.7, width=0.2, r_normal=25.0, rrr=4.0,
     w_s = width / (2.0 * np.log(9.0))
     r_norm_branch = r_normal * (1.0 + (rrr - 1.0)
                                 * (np.clip(t - tc, 0.0, None) / (300.0 - tc)) ** 3)
-    r = r_norm_branch * expit((t - tc) / w_s)
+    r = r_norm_branch * logistic((t - tc) / w_s)
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
         r = r + noise_sigma * r_normal * rng.standard_normal(t.size)

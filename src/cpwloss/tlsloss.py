@@ -28,7 +28,12 @@ HBAR = 1.0545718176461565e-34
 
 def chip_power_watt(applied_power_dbm, line_attenuation_db):
     """Power arriving at the chip, in watts."""
-    return 10.0 ** ((applied_power_dbm - line_attenuation_db - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((applied_power_dbm - line_attenuation_db - 30.0) / 10.0)
+    except OverflowError:
+        raise DataError(f"applied power {applied_power_dbm:g} dBm after "
+                        f"{line_attenuation_db:g} dB of attenuation is more "
+                        f"watts than a float holds") from None
 
 
 def photon_number(fit, applied_power_dbm, line_attenuation_db):

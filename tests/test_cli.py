@@ -60,6 +60,14 @@ class TestSynth:
         assert run("synth", "notch", "bogus=1", "--out", tmp_path) == 1
         assert "unknown synth parameter" in capsys.readouterr().err
 
+    def test_steep_rt_step_warns_nothing(self, tmp_path, capsys):
+        # exp(-z) overflows far below a 1 mK step; that is r = 0, not news
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("synth", "rt", "width=0.001", "--out", tmp_path) == 0
+        assert not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err == ""
+
     def test_all_kinds_write_truth(self, tmp_path):
         for kind, data_file in [("rt", "rt.dat"), ("xrd", "xrd.dat")]:
             d = tmp_path / kind
@@ -159,9 +167,7 @@ class TestScan:
             "edges_and_ties", "near_threshold"])
     def test_windows_match_point_walk(self, depths, monkeypatch):
         # a flat 0 dB baseline: the moving median never lets a run touch an end
-        import scipy.ndimage
-        monkeypatch.setattr(scipy.ndimage, "median_filter",
-                            lambda x, size, mode: np.zeros_like(x))
+        monkeypatch.setattr(cli, "moving_median", lambda x, size: np.zeros_like(x))
         sweep = dipped_sweep(depths)
         windows, mag_db, baseline = cli.scan_windows(sweep, 3.0)
         assert windows == old_scan_windows(sweep.frequency_hz, baseline - mag_db, 3.0)
@@ -173,6 +179,25 @@ class TestScan:
             sweep = dipped_sweep(dict(zip(idx.tolist(), rng.uniform(0, 8, idx.size))))
             windows, mag_db, baseline = cli.scan_windows(sweep, 3.0)
             assert windows == old_scan_windows(sweep.frequency_hz, baseline - mag_db, 3.0)
+
+    def test_moving_median_matches_scipy(self):
+        # scipy is the reference: same float, bit for bit, for scan's own
+        # window size and for any odd size below n, on noise, on a few
+        # repeated levels and on plateaus
+        from scipy.ndimage import median_filter
+        rng = np.random.default_rng(23)
+        for trial in range(120):
+            n = int(rng.integers(32, 5001))
+            x = [rng.standard_normal(n),
+                 rng.integers(-2, 3, n) * 0.5,
+                 np.repeat(rng.standard_normal(n // 16 + 1), 16)[:n]][trial % 3]
+            scan_size = max(51, 2 * (n // 100) + 1)
+            if scan_size >= n:
+                scan_size = max(3, 2 * (n // 6) + 1)
+            for size in (scan_size, 2 * int(rng.integers(0, n // 2)) + 1):
+                want = median_filter(x, size=size, mode="mirror")
+                got = cli.moving_median(x, size)
+                assert got.tobytes() == want.tobytes(), (trial, n, size)
 
     @pytest.mark.parametrize("index", [0, 399])
     def test_dip_at_trace_end(self, index):
@@ -302,6 +327,18 @@ class TestPower:
         assert "error" in capsys.readouterr().err
         # an explicit value on the command line rescues the series
         assert run("power", *files, "--attenuation-db", 60, "--out", d) == 0
+
+    def test_power_overflow_is_one_error_line(self, tmp_path, capsys):
+        sweep = synth.synthesize_power_series(seed=2)[0][0]
+        path = tmp_path / "p00.dat"
+        dataio.write_sweep_file(path, replace(sweep, power_dbm=5000.0))
+        assert run("power", path, "--out", tmp_path) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cpwloss power: error: ")
+        assert "applied power 5000 dBm after 60 dB of attenuation" in lines[0]
+        assert "Traceback" not in captured.err + captured.out
 
 
 class TestBudget:
@@ -649,6 +686,13 @@ def test_mutated_file_error_contract(tmp_path_factory, case):
         assert lines[0].startswith(f"cpwloss {argv[0]}: error: ")
 
 
+def write_maps(path):
+    """One wafer's nine-site sheet map, 11.75 ohm/sq at every site."""
+    sites = ("c", "n", "ne", "e", "se", "s", "sw", "w", "nw")
+    dataio.write_sheet_file(path, [dataio.SheetMap(
+        wafer_id="W0", sites=sites, r_square_ohm_sq=np.full(9, 11.75))])
+
+
 class TestBadNumbers:
     """A bad number in an argument ends in one error line, not a traceback."""
 
@@ -685,11 +729,6 @@ class TestBadNumbers:
                    "--out", tmp_path) == 1
         self.assert_one_error(capsys, "xrd")
 
-    def write_maps(self, path):
-        sites = ("c", "n", "ne", "e", "se", "s", "sw", "w", "nw")
-        dataio.write_sheet_file(path, [dataio.SheetMap(
-            wafer_id="W0", sites=sites, r_square_ohm_sq=np.full(9, 11.75))])
-
     @pytest.mark.parametrize("value,text", [
         ("nan", " must be finite, got 'nan'"),
         ("abc", ": cannot parse 'abc' as a number"),
@@ -705,13 +744,13 @@ class TestBadNumbers:
         assert run("synth", "notch") == 0
         (tmp_path / "losses.cfg").write_text(
             "delta_sa=1e-3\ndelta_ma=1e-3\ndelta_ms=1e-3\ndelta_si=1e-7\n")
-        self.write_maps("maps.dat")
+        write_maps("maps.dat")
         capsys.readouterr()
         assert run(*argv, value) == 1
         self.assert_one_error(capsys, argv[0], argv[-1] + text)
 
     def test_config_float_non_finite(self, tmp_path, capsys):
-        self.write_maps(tmp_path / "maps.dat")
+        write_maps(tmp_path / "maps.dat")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("thickness_nm=nan\n")
         assert run("sheet", tmp_path / "maps.dat", "--config", cfg,
@@ -786,8 +825,14 @@ class TestBadNumbers:
         ("power_series", "qc=0", "fr and qc_mag must be positive"),
         ("feedline", "f_start=0", "resonator 0: fr must be positive, got 0.0"),
         ("feedline", "a=0", "a must be positive, got 0.0"),
+        ("power_series", "power_step_db=1e4",
+         "applied power 9905 dBm after 60 dB of attenuation is more watts "
+         "than a float holds"),
+        ("power_series", "power_start_dbm=3000",
+         "chip power 1e+291 W puts more photons in the resonator than a float holds"),
     ], ids=["notch_npoints", "xrd_step", "power_series_n_powers", "rt_noise",
-            "notch_ql", "power_series_qc", "feedline_f_start", "feedline_a"])
+            "notch_ql", "power_series_qc", "feedline_f_start", "feedline_a",
+            "power_series_step_overflow", "power_series_photons_overflow"])
     def test_synth_out_of_range(self, tmp_path, capsys, kind, param, text):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -889,14 +934,65 @@ def test_synth_pair_error_contract(tmp_path_factory, data, kind):
                            "--out", tmp_path_factory.getbasetemp() / "fuzz_synth"])
 
 
+def fresh_python(code, *args, cwd=None):
+    """stdout of `python -c code args` in a new interpreter that imports
+    this checkout's cpwloss."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=cwd,
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return done.stdout
+
+
 def test_cli_import_loads_no_scipy():
     """`import cpwloss.cli` loads no scipy module and, of cpwloss, only what
     every command uses; each command imports the modules it runs."""
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import cpwloss.cli, sys; print(*sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'cpwloss')))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-    assert done.stdout.split() == ["cpwloss", "cpwloss.cli", "cpwloss.dataio",
-                                   "cpwloss.errors"]
+    assert fresh_python(code).split() == ["cpwloss", "cpwloss.cli", "cpwloss.dataio",
+                                          "cpwloss.errors"]
+
+
+@pytest.fixture(scope="module")
+def no_fit_inputs(tmp_path_factory, feedline_dir):
+    """A directory with an input for every command that fits no least squares."""
+    from cpwloss import lossbudget
+    d = tmp_path_factory.mktemp("no_fit")
+    (d / "feedline.dat").write_bytes(file_bytes(feedline_dir / "feedline.dat"))
+    assert run("synth", "rt", "--out", d) == 0
+    (d / "losses.cfg").write_text("\n".join(LOSS_LINES) + "\n")
+    # five trench depths span only three directions of the four tangents
+    table = lossbudget.load_builtin_table()
+    truth = lossbudget.InterfaceLosses(delta_sa=2e-3, delta_ma=8e-4,
+                                       delta_ms=1.5e-3, delta_si=2e-7)
+    (d / "measured.dat").write_text("trench_nm delta\n" + "".join(
+        f"{t} {lossbudget.forward_loss(lossbudget.interpolate(table, t), truth)!r}\n"
+        for t in (0.0, 25.0, 50.0, 75.0, 100.0)))
+    write_maps(d / "maps.dat")
+    for k, (process, delta_lp) in enumerate([("B/HP/HT/BOE", 4e-6), ("B/HP/HT/BOE", 5e-6),
+                                             ("A/LP/RT/BOE", 9e-6)]):
+        (d / "tls" / f"r{k}").mkdir(parents=True)
+        (d / "tls" / f"r{k}" / "tls_report.json").write_text(json.dumps(
+            {"report_kind": "tls_fit",
+             "body": {"process": process, "tls_fit": {"delta_lp": delta_lp}}}))
+    return d
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "notch"), ("synth", "feedline", "npoints=2001"),
+    ("synth", "power_series"), ("synth", "rt"), ("synth", "xrd"),
+    ("scan", "feedline.dat"), ("report", "tls"),
+    ("budget", "--losses", "losses.cfg", "--trench-nm", 50),
+    ("budget", "--decompose", "measured.dat"),
+    ("rrr", "rt.dat"), ("sheet", "maps.dat", "--thickness-nm", 60),
+], ids=["synth_notch", "synth_feedline", "synth_power_series", "synth_rt",
+        "synth_xrd", "scan", "report", "budget", "budget_decompose_rank3",
+        "rrr", "sheet"])
+def test_command_loads_no_scipy(no_fit_inputs, tmp_path, argv):
+    """Only commands that run a least-squares fit (fit, power, xrd, and a
+    decompose that resolves a tangent) pay for importing scipy."""
+    code = ("import sys; from cpwloss import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = fresh_python(code, *argv, "--out", tmp_path, cwd=no_fit_inputs)
+    assert out.splitlines()[-1].split() == ["0"]

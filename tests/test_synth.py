@@ -1,0 +1,65 @@
+"""synth's numpy replacements for scipy's brentq and expit, with scipy as
+the reference."""
+
+import numpy as np
+import pytest
+import scipy.optimize
+import scipy.special
+
+from cpwloss import synth
+from cpwloss.errors import FitError
+from cpwloss.tlsloss import chip_power_watt
+
+
+def photon_number_inputs(rng):
+    """Keyword arguments of one random solve_photon_number call."""
+    return {
+        "p_chip_w": chip_power_watt(rng.uniform(-130.0, 10.0), rng.uniform(0.0, 80.0)),
+        "fr": 10 ** rng.uniform(9.0, 10.0),
+        "qc_mag": 10 ** rng.uniform(3.0, 7.0),
+        "phi": rng.uniform(-0.5, 0.5),
+        "delta_tls": 10 ** rng.uniform(-7.0, -4.0),
+        "n_c": 10 ** rng.uniform(-1.0, 4.0),
+        "beta": rng.uniform(0.1, 1.0),
+        "delta_hp": 10 ** rng.uniform(-8.0, -5.0),
+    }
+
+
+def test_photon_number_matches_scipy_brentq(monkeypatch):
+    rng = np.random.default_rng(31)
+    draws = [photon_number_inputs(rng) for _ in range(1000)]
+    ours = np.array([synth.solve_photon_number(**kw) for kw in draws])
+    monkeypatch.setattr(synth, "brentq", scipy.optimize.brentq)
+    theirs = np.array([synth.solve_photon_number(**kw) for kw in draws])
+    assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: np.cos(x) - x, 0.0, 1.0),
+    (lambda x: np.exp(x) - 1e6, 0.0, 30.0),
+    (lambda x: (x - 0.3) ** 5, -1.0, 1.0),
+    (lambda x: np.tanh(50.0 * (x - 0.7)), 0.0, 1.0),
+])
+@pytest.mark.parametrize("xtol,rtol", [(1e-18, 8.9e-16), (2e-12, 1e-9)])
+def test_brentq_port_matches_scipy(f, a, b, xtol, rtol):
+    ours = synth.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
+    theirs = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
+    assert np.float64(ours).tobytes() == np.float64(theirs).tobytes()
+
+
+def test_brentq_failures_are_fit_errors():
+    with pytest.raises(FitError, match="did not converge in 2 iterations"):
+        synth.brentq(lambda x: x ** 3 - 0.123, 0.0, 1e6, xtol=1e-18, rtol=8.9e-16,
+                     maxiter=2)
+    with pytest.raises(FitError, match="not bracketed"):
+        synth.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-18, rtol=8.9e-16,
+                     maxiter=200)
+
+
+def test_logistic_within_one_ulp_of_expit():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 20001),
+                        np.random.default_rng(5).normal(0.0, 20.0, 20000)])
+    ours, theirs = synth.logistic(z), scipy.special.expit(z)
+    assert np.all(ours >= np.nextafter(theirs, -np.inf))
+    assert np.all(ours <= np.nextafter(theirs, np.inf))
