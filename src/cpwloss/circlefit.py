@@ -16,8 +16,7 @@ the model's Jacobian in closed form (Probst et al., Rev. Sci. Instrum.
 86, 024706 (2015)) rather than by finite differences, so the errors
 rest on the exact Jacobian at the optimum. The detuning is written
 (f - fr)/fr, which is exact near fr, not f/fr - 1, which loses up to
-log10(2*Ql) digits before the product with 2*Ql. The solver is
-imported at call time to keep CLI start-up cheap.
+log10(2*Ql) digits before the product with 2*Ql.
 """
 
 import warnings
@@ -27,7 +26,7 @@ import numpy as np
 
 from .dataio import ComplexSweep
 from .errors import DataError, FitError
-from .fitcov import covariance
+from .fitcov import covariance, solve
 
 TWO_PI = 2.0 * np.pi
 
@@ -191,9 +190,9 @@ def _fit_phase(f, w, fr0, ql0):
 
     One Levenberg-Marquardt solve over (theta0, Ql, fr), started at the
     mean of the two end-point phases and the (fr0, ql0) guesses, with Ql
-    and fr scaled by their guesses so every parameter is O(1).
+    and fr scaled by their guesses so every parameter is O(1). The
+    result only starts _refine, so the solve stops at 1e-8.
     """
-    from scipy.optimize import least_squares
     inc = _phase_increments(w)
     theta = np.angle(w[0]) + np.concatenate([[0.0], np.cumsum(inc)])
     scales = np.array([1.0, ql0, fr0])
@@ -205,8 +204,7 @@ def _fit_phase(f, w, fr0, ql0):
     def jac(q):
         return _phase_jac(f, *(q * scales)) * scales
 
-    sol = least_squares(resid, p0 / scales, jac=jac, method="lm",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=800)
+    sol = solve(resid, jac, p0 / scales, xtol=1e-6, ftol=1e-8, max_nfev=800)
     theta0, ql, fr = sol.x * scales
     if ql <= 0 or not f[0] <= fr <= f[-1]:
         raise FitError("phase fit failed: resonance outside the sweep or Ql <= 0")
@@ -322,8 +320,9 @@ def fit_resonance(sweep):
 def _centred_model(f, fc, p):
     """S21 at p = (fr, Ql, Qc_mag, phi, a, alpha_c, tau), alpha_c being the
     environment phase at f = fc."""
-    env = p[4] * np.exp(1j * (p[5] - TWO_PI * (f - fc) * p[6]))
-    return env * notch_model(f, p[0], p[1], p[2], p[3])
+    fr, ql, qc, phi, a, alpha_c, tau = p
+    env = a * np.exp(1j * (alpha_c - TWO_PI * (f - fc) * tau))
+    return env * (1.0 - (ql / qc) * np.exp(1j * phi) / (1.0 + 2j * ql * (f - fr) / fr))
 
 
 def _centred_jac(f, fc, p):
@@ -331,12 +330,17 @@ def _centred_jac(f, fc, p):
     fr, ql, qc, phi, a, alpha_c, tau = p
     env = a * np.exp(1j * (alpha_c - TWO_PI * (f - fc) * tau))
     den = 1.0 + 2j * ql * (f - fr) / fr
-    edip = env * (ql / qc) * np.exp(1j * phi) / den
+    edip = env * ((ql / qc) * np.exp(1j * phi)) / den
     m = env - edip
-    cols = np.column_stack([
-        -edip * 2j * ql * f / (fr ** 2 * den), -edip / (ql * den), edip / qc,
-        -1j * edip, m / a, 1j * m, -1j * TWO_PI * (f - fc) * m])
-    return np.concatenate([cols.real, cols.imag])
+    cols = np.empty((7, f.size), dtype=complex)
+    cols[0] = edip * (-2j * ql / fr ** 2) * f / den
+    cols[1] = -edip / (ql * den)
+    cols[2] = edip / qc
+    cols[3] = -1j * edip
+    cols[4] = m / a
+    cols[5] = 1j * m
+    cols[6] = (-1j * TWO_PI) * (f - fc) * m
+    return np.concatenate([cols.real, cols.imag], axis=1).T
 
 
 def _refine(f, z, p0):
@@ -350,7 +354,6 @@ def _refine(f, z, p0):
     result and its covariance are mapped back by alpha = alpha_c +
     2*pi*f_c*tau.
     """
-    from scipy.optimize import least_squares
     span = f[-1] - f[0]
     fc = 0.5 * (f[0] + f[-1])
     scales = np.array([abs(p0[0]), abs(p0[1]), abs(p0[2]), 1.0,
@@ -366,9 +369,8 @@ def _refine(f, z, p0):
         return _centred_jac(f, fc, q * scales) * scales
 
     max_nfev = 1600
-    res = least_squares(residuals, pc0 / scales, jac=jac, method="lm",
-                        xtol=1e-15, ftol=1e-14, gtol=1e-14,
-                        max_nfev=max_nfev)
+    res = solve(residuals, jac, pc0 / scales, xtol=1e-15, ftol=1e-10,
+                max_nfev=max_nfev)
     cov_q = covariance(res, f"refinement (limit {max_nfev} function evaluations)")
     p = res.x * scales
     p[5] = p[5] + TWO_PI * fc * p[6]

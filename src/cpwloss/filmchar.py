@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FitError
-from .fitcov import covariance
+from .fitcov import covariance, solve
 
 FOUR_LN2 = 4.0 * np.log(2.0)
 
@@ -99,8 +99,20 @@ def fit_peaks(scan, windows=DEFAULT_XRD_WINDOWS):
     return fits
 
 
+def _pseudo_voigt_jac(x, center, fwhm, amplitude, eta):
+    """Columns d/d(center, fwhm, amplitude, eta, b0, b1) of pseudo_voigt."""
+    t = x - center
+    lor = lorentzian_peak(x, center, fwhm)
+    gau = gaussian_peak(x, center, fwhm)
+    # d/dcenter of the two shapes; d/dfwhm is the same times t/fwhm
+    d_lor = 8.0 * lor ** 2 * t / fwhm ** 2
+    d_gau = 2.0 * FOUR_LN2 * gau * t / fwhm ** 2
+    d_center = amplitude * (eta * d_lor + (1.0 - eta) * d_gau)
+    return np.column_stack([d_center, d_center * t / fwhm, eta * lor + (1.0 - eta) * gau,
+                            amplitude * (lor - gau), np.ones_like(x), x])
+
+
 def _fit_one_peak(x, y, window):
-    from scipy.optimize import least_squares
     lo, hi = window
     b0_init, b1_init, noise = _edge_baseline(x, y)
     detrended = y - (b0_init + b1_init * x)
@@ -123,8 +135,11 @@ def _fit_one_peak(x, y, window):
     def residuals(p):
         return pseudo_voigt(x - xc, p[0] - xc, p[1], p[2], p[3], p[4], p[5]) - y
 
-    res = least_squares(residuals, p0, bounds=(lower, upper), method="trf",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=5000)
+    def jac(p):
+        return _pseudo_voigt_jac(x - xc, p[0] - xc, p[1], p[2], p[3])
+
+    res = solve(residuals, jac, p0, lower, upper,
+                xtol=1e-15, ftol=1e-10, max_nfev=5000)
     cov = covariance(res, f"peak fit in window [{lo}, {hi}]")
     center, fwhm, amp, eta, b0c, b1 = res.x
     if amp < 3.0 * noise:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FitError
-from .fitcov import gram_pinv
+from .fitcov import gram_pinv, svd_lstsq
 
 LOSS_NAMES = ("delta_sa", "delta_ma", "delta_ms", "delta_si")
 
@@ -161,13 +161,40 @@ class DecomposeResult:
     resolved_combinations: tuple = ()
 
 
+def nnls(a, b):
+    """argmin |a x - b| over x >= 0, for a matrix of a few columns.
+
+    The optimum is the unconstrained least-squares solution on its own
+    support, so the solution on every support of the columns is formed
+    (2^n - 1 of them; decompose has at most four columns) and the
+    feasible one with the smallest residual is kept, x = 0 included.
+    When the columns of that support have full rank this is the unique
+    non-negative least-squares optimum. The columns are scaled to unit
+    norm first, which keeps the signs of the solution and its accuracy
+    when participations differ by orders of magnitude.
+    """
+    n = a.shape[1]
+    norms = np.linalg.norm(a, axis=0)
+    a = a / norms
+    best, best_r2 = np.zeros(n), b @ b
+    for support in range(1, 2 ** n):
+        cols = [j for j in range(n) if support >> j & 1]
+        sol = svd_lstsq(a[:, cols], b)
+        if np.all(sol >= 0):
+            resid = a[:, cols] @ sol - b
+            if resid @ resid < best_r2:
+                best, best_r2 = np.zeros(n), resid @ resid
+                best[cols] = sol
+    return best / norms
+
+
 def decompose(rows, deltas, sigmas=None):
     """Invert the forward loss model over several geometries.
 
     rows: >= 4 ParticipationRow; deltas: measured TLS loss tangents,
     one per row; sigmas: optional measurement uncertainties (same
     length). Non-negativity of the loss tangents is enforced by
-    active-set NNLS on the weighted system.
+    nnls() on the weighted system.
     """
     rows = list(rows)
     deltas = np.asarray(deltas, dtype=float)
@@ -214,8 +241,7 @@ def decompose(rows, deltas, sigmas=None):
     x_sigma = np.full(4, np.nan)
     predicted_w = None
     if keep:
-        from scipy.optimize import nnls
-        sol, _ = nnls(aw[:, keep], bw)
+        sol = nnls(aw[:, keep], bw)
         x[keep] = sol
         predicted_w = aw[:, keep] @ sol
 

@@ -8,8 +8,7 @@ photon number as
 so the zero-power limit is delta_lp = delta_tls + delta_hp and the
 difference of the two asymptotes is exactly the TLS amplitude
 delta_tls. Fits run on log(delta) so every decade of photon number
-carries comparable weight. The solver is imported at call time to
-keep CLI start-up cheap.
+carries comparable weight.
 """
 
 import warnings
@@ -19,7 +18,7 @@ import numpy as np
 
 from .circlefit import fit_resonance
 from .errors import DataError, FitError
-from .fitcov import covariance
+from .fitcov import covariance, solve
 
 BETA_BOUNDS = (0.1, 1.0)
 # Reduced Planck constant h/(2*pi) in J s, equal to scipy's hbar to the last bit.
@@ -76,10 +75,11 @@ class LossPoint:
     source: str = None
 
     def __post_init__(self):
-        if not self.n_photon > 0:
-            raise DataError(f"photon number must be positive, got {float(self.n_photon)!r}")
-        if not self.delta > 0:
-            raise DataError(f"loss must be positive, got {float(self.delta)!r}")
+        for name, value in (("photon number", self.n_photon), ("loss", self.delta)):
+            if not value > 0:
+                raise DataError(f"{name} must be positive, got {float(value)!r}")
+            if value == np.inf:
+                raise DataError(f"{name} must be finite, got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -112,15 +112,25 @@ class TlsFit:
             raise FitError("delta_tls must equal delta_lp - delta_hp")
 
 
+def _tls_log_jac(n, dtls, nc, beta, dhp):
+    """Columns d/d(delta_tls, n_c, beta, delta_hp) of log(eval_tls_model)."""
+    sat = (1.0 + n / nc) ** -beta
+    tls = dtls * sat
+    model = tls + dhp
+    return np.column_stack([sat, tls * beta * n / (nc * (nc + n)),
+                            -tls * np.log1p(n / nc), np.ones_like(n)]) / model[:, None]
+
+
 def fit_tls(points):
     """Fit the saturation model to (photon number, loss) points.
 
-    Weighted least squares on log(delta); weights follow the supplied
+    Weighted least squares on log(delta), solved by fitcov.solve with
+    the closed-form Jacobian _tls_log_jac; weights follow the supplied
     sigma_delta (converted to log space) when every point has one,
     otherwise uniform. Parameters are bounded positive with beta in
-    [0.1, 1.0]; a bound-limited beta is flagged, not hidden.
+    [0.1, 1.0]; the solver holds a beta that the data push past a bound
+    on that bound, and the fit flags it, not hides it.
     """
-    from scipy.optimize import least_squares
     points = sorted(points, key=lambda p: p.n_photon)
     if len(points) < 5:
         raise DataError(f"fit_tls needs at least 5 points for 4 parameters, "
@@ -161,9 +171,11 @@ def fit_tls(points):
         model = dtls / (1.0 + n / nc) ** beta + dhp
         return (np.log(model) - log_d) * weights
 
-    res = least_squares(residuals, p0 / scales, bounds=(lower, upper),
-                        method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                        max_nfev=4000)
+    def jac(q):
+        return _tls_log_jac(n, *(q * scales)) * weights[:, None] * scales
+
+    res = solve(residuals, jac, p0 / scales, lower, upper,
+                xtol=1e-15, ftol=1e-10, max_nfev=4000)
     cov = covariance(res, "TLS fit") * np.outer(scales, scales)
     dtls, nc, beta, dhp = res.x * scales
     beta_clamped = (beta <= BETA_BOUNDS[0] * (1 + 1e-9)

@@ -1,5 +1,6 @@
 """Notch resonance fitting: circle fit, delay removal, full refinement."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,11 @@ import pytest
 from cpwloss import circlefit, dataio
 from cpwloss.errors import DataError, FitError
 from test_acceptance import draw_notch_params
+
+
+def ulp_change(values, rng):
+    """values with each element moved one ulp up or down at random."""
+    return np.nextafter(values, np.where(rng.random(values.shape) < 0.5, -np.inf, np.inf))
 
 
 def make_sweep(fr=6e9, ql=5e4, qc=1e5, phi=0.0, a=1.0, alpha=0.0, tau=0.0,
@@ -293,6 +299,21 @@ class TestFitResonance:
             if abs(fit.Qi - qi_true) <= 2.0 * fit.sigma["Qi"]:
                 hits += 1
         assert hits >= int(0.80 * total)
+
+    def test_ulp_changes_of_a_noisy_sweep_move_no_value(self):
+        # one-ulp changes of S21 move the optimum by round-off; a solve
+        # that stops short of it moves Qi and |Qc| by ~1e-9
+        sweep = make_sweep(fr=5e9, ql=2e4, qc=4e4, phi=0.1, tau=30e-9,
+                           noise=1e-3, seed=3)
+        base = circlefit.fit_resonance(sweep)
+        linewidth = base.fr / base.Ql
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            s21 = ulp_change(sweep.s21.real, rng) + 1j * ulp_change(sweep.s21.imag, rng)
+            fit = circlefit.fit_resonance(replace(sweep, s21=s21))
+            assert fit.Qi == pytest.approx(base.Qi, rel=1e-10, abs=0.0)
+            assert fit.Qc_mag == pytest.approx(base.Qc_mag, rel=1e-10, abs=0.0)
+            assert abs(fit.fr - base.fr) <= 1e-10 * linewidth
 
     def test_acceptance_draw_noise_1e2_failures(self):
         """The 200 acceptance draws at noise 1e-2: at most 11 fits fail, and

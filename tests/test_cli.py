@@ -340,6 +340,25 @@ class TestPower:
         assert "applied power 5000 dBm after 60 dB of attenuation" in lines[0]
         assert "Traceback" not in captured.err + captured.out
 
+    def test_infinite_photon_number_is_a_diagnostic(self, tmp_path):
+        # 3000 dBm is a finite 1e291 W at the chip but an infinite photon
+        # number: like any bad point, that sweep is skipped with a
+        # diagnostic and a nonzero exit, and the rest are fitted
+        sweeps, _ = synth.synthesize_power_series(seed=2)
+        paths = []
+        for k, sweep in enumerate(sweeps):
+            paths.append(tmp_path / f"p{k:02d}.dat")
+            dataio.write_sweep_file(paths[-1], replace(sweep, power_dbm=3000.0)
+                                    if k == 11 else sweep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("power", *paths, "--out", tmp_path) == 1
+        body = read_json(tmp_path / "tls_report.json")["body"]
+        assert len(body["points"]) == 11
+        assert all(np.isfinite(p["n_photon"]) for p in body["points"])
+        diagnostic, = body["diagnostics"]
+        assert diagnostic.endswith("p11.dat: photon number must be finite, got inf")
+
 
 class TestBudget:
     def write_losses(self, tmp_path, **overrides):
@@ -955,11 +974,14 @@ def test_cli_import_loads_no_scipy():
 
 
 @pytest.fixture(scope="module")
-def no_fit_inputs(tmp_path_factory, feedline_dir):
-    """A directory with an input for every command that fits no least squares."""
+def command_inputs(tmp_path_factory, feedline_dir):
+    """A directory with an input for every command."""
     from cpwloss import lossbudget
-    d = tmp_path_factory.mktemp("no_fit")
+    d = tmp_path_factory.mktemp("commands")
     (d / "feedline.dat").write_bytes(file_bytes(feedline_dir / "feedline.dat"))
+    assert run("scan", d / "feedline.dat", "--out", d) == 0
+    assert run("synth", "power_series", "--out", d) == 0
+    assert run("synth", "xrd", "--out", d) == 0
     assert run("synth", "rt", "--out", d) == 0
     (d / "losses.cfg").write_text("\n".join(LOSS_LINES) + "\n")
     # five trench depths span only three directions of the four tangents
@@ -969,6 +991,14 @@ def no_fit_inputs(tmp_path_factory, feedline_dir):
     (d / "measured.dat").write_text("trench_nm delta\n" + "".join(
         f"{t} {lossbudget.forward_loss(lossbudget.interpolate(table, t), truth)!r}\n"
         for t in (0.0, 25.0, 50.0, 75.0, 100.0)))
+    # four independent geometries resolve every tangent, through nnls
+    rows = [(0.0, 3.0e-4, 5.0e-5, 6.0e-4, 0.900), (50.0, 2.5e-4, 2.0e-5, 5.0e-4, 0.905),
+            (100.0, 2.0e-4, 8.0e-5, 4.0e-4, 0.910), (150.0, 4.0e-4, 1.0e-5, 7.0e-4, 0.895)]
+    (d / "table4.dat").write_text("trench_nm p_sa p_ma p_ms p_si\n" + "".join(
+        " ".join(map(repr, row)) + "\n" for row in rows))
+    (d / "measured4.dat").write_text("trench_nm delta\n" + "".join(
+        f"{row[0]!r} {lossbudget.forward_loss(lossbudget.ParticipationRow(*row), truth)!r}\n"
+        for row in rows))
     write_maps(d / "maps.dat")
     for k, (process, delta_lp) in enumerate([("B/HP/HT/BOE", 4e-6), ("B/HP/HT/BOE", 5e-6),
                                              ("A/LP/RT/BOE", 9e-6)]):
@@ -986,13 +1016,16 @@ def no_fit_inputs(tmp_path_factory, feedline_dir):
     ("budget", "--losses", "losses.cfg", "--trench-nm", 50),
     ("budget", "--decompose", "measured.dat"),
     ("rrr", "rt.dat"), ("sheet", "maps.dat", "--thickness-nm", 60),
+    ("fit", "feedline.dat", "--windows", "scan_report.json"),
+    ("power", *(f"power_{k:02d}.dat" for k in range(12))), ("xrd", "xrd.dat"),
+    ("budget", "--decompose", "measured4.dat", "--table", "table4.dat"),
 ], ids=["synth_notch", "synth_feedline", "synth_power_series", "synth_rt",
         "synth_xrd", "scan", "report", "budget", "budget_decompose_rank3",
-        "rrr", "sheet"])
-def test_command_loads_no_scipy(no_fit_inputs, tmp_path, argv):
-    """Only commands that run a least-squares fit (fit, power, xrd, and a
-    decompose that resolves a tangent) pay for importing scipy."""
+        "rrr", "sheet", "fit_windows", "power", "xrd", "budget_decompose_rank4"])
+def test_command_loads_no_scipy(command_inputs, tmp_path, argv):
+    """No command imports scipy: the fits run on fitcov.solve and the
+    loss decomposition on lossbudget.nnls."""
     code = ("import sys; from cpwloss import cli; rc = cli.main(sys.argv[1:]); "
             "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = fresh_python(code, *argv, "--out", tmp_path, cwd=no_fit_inputs)
+    out = fresh_python(code, *argv, "--out", tmp_path, cwd=command_inputs)
     assert out.splitlines()[-1].split() == ["0"]

@@ -20,6 +20,8 @@ from cpwloss.filmchar import (
     sheet_stats,
 )
 
+import test_circlefit
+
 
 def make_scan(peaks, b0=50.0, b1=0.5, lo=30.0, hi=50.0, step=0.01,
               noise=0.0, seed=None):
@@ -63,6 +65,20 @@ class TestPeakFitting:
         assert fit.fwhm == pytest.approx(fwhm, rel=1e-6)
         assert fit.amplitude == pytest.approx(500.0, rel=1e-6)
         assert fit.eta == pytest.approx(eta, abs=1e-6)
+
+    def test_pseudo_voigt_jacobian(self):
+        # the closed-form Jacobian of the peak fit against central differences
+        rng = np.random.default_rng(22)
+        x = np.arange(-1.5, 1.5, 0.01)
+        for _ in range(6):
+            p = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.1, 1.0),
+                          rng.uniform(50.0, 500.0), rng.uniform(0.0, 1.0),
+                          rng.uniform(0.0, 100.0), rng.uniform(-5.0, 5.0)])
+            steps = np.array([1e-5, 1e-5 * p[1], 1e-5 * p[2], 1e-5, 1e-3, 1e-5])
+            numeric = test_circlefit.TestJacobians.central(
+                lambda q: pseudo_voigt(x, *q), p, steps)
+            test_circlefit.TestJacobians.assert_columns_match(
+                filmchar._pseudo_voigt_jac(x, *p[:4]), numeric)
 
     def test_noisy_recovery(self):
         scan = make_scan([(36.9, 0.4, 500.0, 0.3)], noise=3.0, seed=8)

@@ -1,11 +1,10 @@
-"""The shared covariance step of the nonlinear fits."""
+"""The least-squares kernel and the shared covariance step of the nonlinear fits."""
 
 import numpy as np
 import pytest
-from scipy.optimize import least_squares
 
 from cpwloss.errors import FitError
-from cpwloss.fitcov import covariance
+from cpwloss.fitcov import covariance, solve
 
 
 def linear_problem(m=40, seed=0):
@@ -16,14 +15,27 @@ def linear_problem(m=40, seed=0):
     return design, y
 
 
+def solve_linear(design, y, x0=None, **bounds):
+    x0 = np.zeros(design.shape[1]) if x0 is None else x0
+    return solve(lambda p: design @ p - y, lambda p: design, x0, **bounds,
+                 xtol=1e-15, ftol=1e-10, max_nfev=100)
+
+
 def test_linear_model_matches_closed_form():
     design, y = linear_problem()
-    res = least_squares(lambda p: design @ p - y, np.zeros(3),
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    res = solve_linear(design, y)
     r = design @ res.x - y
     s2 = r @ r / (y.size - 3)
     expected = s2 * np.linalg.inv(design.T @ design)
     assert covariance(res, "linear fit") == pytest.approx(expected, rel=1e-6)
+
+
+def test_linear_solution_matches_closed_form():
+    design, y = linear_problem()
+    expected = np.linalg.lstsq(design, y, rcond=None)[0]
+    res = solve_linear(design, y, x0=np.array([5.0, -3.0, 2.0]))
+    assert res.status > 0
+    assert np.max(np.abs(res.x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_ill_conditioned_jacobian():
@@ -36,7 +48,7 @@ def test_ill_conditioned_jacobian():
     v = np.array([[c, -s], [s, c]])
     jac = u @ np.diag([1.0, 1e-9]) @ v.T
     y = rng.standard_normal(m)
-    res = least_squares(lambda p: jac @ p - y, np.zeros(2), jac=lambda p: jac)
+    res = solve_linear(jac, y)
     s2 = 2.0 * res.cost / (m - 2)
     expected = s2 * v @ np.diag([1.0, 1e18]) @ v.T
     assert covariance(res, "ill-conditioned fit") == pytest.approx(expected, rel=1e-6)
@@ -47,7 +59,7 @@ def test_singular_jacobian_uses_pseudo_inverse():
     # column is exactly zero and J^T J is exactly singular
     design, y = linear_problem()
     col = design[:, 1]
-    res = least_squares(lambda p: col * p[0] - y, np.zeros(2))
+    res = solve_linear(np.column_stack([col, np.zeros_like(col)]), y)
     assert not np.any(res.jac[:, 1])
     cov = covariance(res, "singular fit")
     s2 = 2.0 * res.cost / (y.size - 2)
@@ -55,17 +67,37 @@ def test_singular_jacobian_uses_pseudo_inverse():
     assert cov[0, 1] == cov[1, 0] == cov[1, 1] == 0.0
 
 
-def test_unconverged_solve_names_the_fit():
+def test_bound_active_variable_stays_on_its_bound():
+    # the slope fits -1.2 without bounds; held at >= -1 it sits on the
+    # bound, and the intercept is the best one for that slope
     design, y = linear_problem()
-    res = least_squares(lambda p: np.exp(design @ p) - y - 2.0, np.ones(3),
-                        method="lm", max_nfev=2)
+    line = design[:, :2]
+    res = solve_linear(line, y, lower=[-np.inf, -1.0], upper=[np.inf, 0.0])
+    assert res.status > 0
+    assert res.x[1] == -1.0
+    assert res.x[0] == pytest.approx(np.mean(y + line[:, 1]), rel=1e-12)
+
+
+def test_unconverged_solve_names_the_fit():
+    # two evaluations cannot converge: a max_nfev stop
+    design, y = linear_problem()
+
+    def fun(p):
+        return np.exp(design @ p) - y - 2.0
+
+    def jac(p):
+        return design * np.exp(design @ p)[:, None]
+
+    res = solve(fun, jac, np.ones(3), xtol=1e-15, ftol=1e-10, max_nfev=2)
     assert res.status == 0
-    with pytest.raises(FitError, match="demo stage"):
+    assert res.nfev == 2
+    with pytest.raises(FitError, match="^demo stage did not converge: the maximum "
+                                       "number of function evaluations was reached$"):
         covariance(res, "demo stage")
 
 
 def test_no_degrees_of_freedom_gives_zero():
     design, y = linear_problem(m=3)
-    res = least_squares(lambda p: design @ p - y, np.zeros(3))
+    res = solve_linear(design, y)
     assert res.status > 0
     assert np.all(covariance(res, "exact fit") == 0.0)

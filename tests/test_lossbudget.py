@@ -241,6 +241,24 @@ class TestDecompose:
         assert len(doc["predicted"]) == 4
 
 
+class TestNnls:
+    def test_matches_scipy(self):
+        # scipy's active-set solver is the reference
+        from scipy.optimize import nnls as reference
+        rng = np.random.default_rng(23)
+        bound = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(n, 12))
+            a = rng.standard_normal((m, n)) * 10 ** rng.uniform(-2.0, 0.0, n)
+            b = rng.standard_normal(m)
+            want, _ = reference(a, b)
+            got = lossbudget.nnls(a, b)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            bound += bool(np.any(want == 0.0))
+        assert bound >= 100  # most draws hold some tangent at zero
+
+
 class TestLoadTable:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ptable.dat"

@@ -8,6 +8,7 @@ import pytest
 
 from cpwloss import circlefit, synth, tlsloss
 from cpwloss.errors import DataError, FitError
+import test_circlefit
 
 HBAR = 6.62607015e-34 / (2.0 * math.pi)  # from the exact SI Planck constant
 
@@ -91,6 +92,25 @@ class TestEvalModel:
             tlsloss.LossPoint(n_photon=np.float64(-1.0), delta=1e-6)
         with pytest.raises(DataError, match=r"^loss must be positive, got 0\.0$"):
             tlsloss.LossPoint(n_photon=1.0, delta=np.float64(0.0))
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(DataError, match=r"^photon number must be finite, got inf$"):
+            tlsloss.LossPoint(n_photon=math.inf, delta=1e-6)
+        with pytest.raises(DataError, match=r"^loss must be finite, got inf$"):
+            tlsloss.LossPoint(n_photon=1.0, delta=np.float64(np.inf))
+        with pytest.raises(DataError, match=r"^photon number must be positive, got nan$"):
+            tlsloss.LossPoint(n_photon=math.nan, delta=1e-6)
+
+    def test_log_model_jacobian(self):
+        # the closed-form Jacobian of fit_tls against central differences
+        rng = np.random.default_rng(19)
+        n = np.geomspace(1e-2, 1e5, 20)
+        for _ in range(6):
+            p = np.array([10 ** rng.uniform(-7.0, -5.0), 10 ** rng.uniform(-1.0, 2.0),
+                          rng.uniform(0.1, 1.0), 10 ** rng.uniform(-8.0, -6.0)])
+            numeric = test_circlefit.TestJacobians.central(
+                lambda q: np.log(tlsloss.eval_tls_model(n, *q)), p, 1e-5 * p)
+            test_circlefit.TestJacobians.assert_columns_match(tlsloss._tls_log_jac(n, *p), numeric)
 
 
 def series_from_model(delta_tls, n_c, beta, delta_hp, n_points=20,
@@ -176,6 +196,23 @@ class TestFitTls:
                for a, b, c in zip(n, d_noisy, sig)]
         fit = tlsloss.fit_tls(pts)
         assert fit.delta_tls == pytest.approx(3e-6, rel=0.02)
+
+    def test_ulp_changes_of_sigmas_move_no_value(self):
+        # the walk's power series: a 1-ulp change of each point's sigma
+        # reweights the fit by 2e-16, so the optimum moves by round-off;
+        # a solve that stops short of the optimum moves by ~1e-9
+        sweeps, _ = synth.synthesize_power_series(noise_sigma=5e-4, seed=12345)
+        points, _ = tlsloss.assemble_series(sweeps)
+        base = tlsloss.fit_tls(points)
+        sigmas = np.array([p.sigma_delta for p in points])
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            changed = test_circlefit.ulp_change(sigmas, rng)
+            fit = tlsloss.fit_tls([dataclasses.replace(p, sigma_delta=float(s))
+                                   for p, s in zip(points, changed)])
+            for name in ("delta_tls", "delta_hp", "delta_lp", "n_c", "beta"):
+                assert getattr(fit, name) == pytest.approx(getattr(base, name),
+                                                           rel=1e-12, abs=0.0), name
 
     def test_sigma_estimates_positive(self):
         rng = np.random.default_rng(6)
