@@ -35,8 +35,12 @@ def notch_model(f, fr, Ql, Qc_mag, phi, a=1.0, alpha=0.0, tau=0.0):
     """Complex S21 of a notch resonator in its environment."""
     f = np.asarray(f, dtype=float)
     env = a * np.exp(1j * alpha) * np.exp(-1j * TWO_PI * f * tau)
-    dip = (Ql / Qc_mag) * np.exp(1j * phi) / (1.0 + 2j * Ql * (f - fr) / fr)
-    return env * (1.0 - dip)
+    return env * (1.0 - _dip(f, fr, Ql, Qc_mag, phi))
+
+
+def _dip(f, fr, Ql, Qc_mag, phi):
+    """The resonant term of notch_model, 1 - S21/env."""
+    return (Ql / Qc_mag) * np.exp(1j * phi) / (1.0 + 2j * Ql * (f - fr) / fr)
 
 
 def default_frequencies(fr, Ql, span_linewidths=10.0, npoints=1001):
@@ -322,7 +326,7 @@ def _centred_model(f, fc, p):
     environment phase at f = fc."""
     fr, ql, qc, phi, a, alpha_c, tau = p
     env = a * np.exp(1j * (alpha_c - TWO_PI * (f - fc) * tau))
-    return env * (1.0 - (ql / qc) * np.exp(1j * phi) / (1.0 + 2j * ql * (f - fr) / fr))
+    return env * (1.0 - _dip(f, fr, ql, qc, phi))
 
 
 def _centred_jac(f, fc, p):

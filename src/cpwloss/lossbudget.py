@@ -169,13 +169,9 @@ def nnls(a, b):
     (2^n - 1 of them; decompose has at most four columns) and the
     feasible one with the smallest residual is kept, x = 0 included.
     When the columns of that support have full rank this is the unique
-    non-negative least-squares optimum. The columns are scaled to unit
-    norm first, which keeps the signs of the solution and its accuracy
-    when participations differ by orders of magnitude.
+    non-negative least-squares optimum.
     """
     n = a.shape[1]
-    norms = np.linalg.norm(a, axis=0)
-    a = a / norms
     best, best_r2 = np.zeros(n), b @ b
     for support in range(1, 2 ** n):
         cols = [j for j in range(n) if support >> j & 1]
@@ -185,7 +181,7 @@ def nnls(a, b):
             if resid @ resid < best_r2:
                 best, best_r2 = np.zeros(n), resid @ resid
                 best[cols] = sol
-    return best / norms
+    return best
 
 
 def decompose(rows, deltas, sigmas=None):
@@ -241,7 +237,9 @@ def decompose(rows, deltas, sigmas=None):
     x_sigma = np.full(4, np.nan)
     predicted_w = None
     if keep:
-        sol = nnls(aw[:, keep], bw)
+        # on the unit-norm columns, which keeps the solution's accuracy
+        # when participations differ by orders of magnitude
+        sol = nnls(basis[:, keep], bw) / norms[keep]
         x[keep] = sol
         predicted_w = aw[:, keep] @ sol
 
