@@ -43,6 +43,15 @@ def _dip(f, fr, Ql, Qc_mag, phi):
     return (Ql / Qc_mag) * np.exp(1j * phi) / (1.0 + 2j * Ql * (f - fr) / fr)
 
 
+def check_internal_loss(what, Ql, Qc_mag, phi):
+    """Raise DataError unless the internal loss 1/Qi = 1/Ql - cos(phi)/|Qc|
+    of `what` is positive."""
+    inv_qi = 1.0 / Ql - np.cos(phi) / Qc_mag
+    if not inv_qi > 0:
+        raise DataError(f"{what}: internal loss 1/Qi = 1/Ql - cos(phi)/Qc_mag "
+                        f"must be positive, got {inv_qi:.3g}")
+
+
 def default_frequencies(fr, Ql, span_linewidths=10.0, npoints=1001):
     """Symmetric frequency grid around fr covering span_linewidths*fr/Ql."""
     if not Ql > 0:
@@ -59,11 +68,15 @@ def synthesize_notch(fr, Ql, Qc_mag, phi=0.0, a=1.0, alpha=0.0, tau=0.0,
     Additive complex Gaussian noise of std noise_sigma per quadrature is
     drawn from a generator seeded with `seed`, so sweeps are exactly
     reproducible. Extra keyword fields (power_dbm, resonator_id, ...)
-    are passed through to the ComplexSweep.
+    are passed through to the ComplexSweep. Parameters with a
+    non-positive internal loss 1/Ql - cos(phi)/|Qc| raise DataError.
     """
     for name, value in (("fr", fr), ("Ql", Ql), ("Qc_mag", Qc_mag), ("a", a)):
         if not value > 0:
             raise DataError(f"{name} must be positive, got {float(value)!r}")
+    rid = sweep_fields.get("resonator_id")
+    check_internal_loss(f"resonator {rid}" if rid else "resonator",
+                        Ql, Qc_mag, phi)
     if noise_sigma < 0:
         raise DataError("noise_sigma must be >= 0")
     if frequencies is None:
@@ -379,16 +392,20 @@ def _refine(f, z, p0):
     p = res.x * scales
     p[5] = p[5] + TWO_PI * fc * p[6]
 
-    # canonical parameter ranges: a > 0 (sign absorbed into alpha), angles wrapped
-    if p[4] < 0:
-        p[4] = -p[4]
-        p[5] = p[5] + np.pi
-    p[3] = _wrap_angle(p[3])
-    p[5] = _wrap_angle(p[5])
-
     # unscale, then the same linear map as alpha = alpha_c + 2*pi*f_c*tau
     t = np.diag(scales)
     t[5, 6] = TWO_PI * fc * scales[6]
+
+    # canonical parameter ranges, the model being unchanged under
+    # (Qc_mag, phi) -> (-Qc_mag, phi + pi) and (a, alpha) -> (-a, alpha + pi):
+    # Qc_mag > 0 and a > 0, each sign flip carried into the covariance by t
+    for k in (2, 4):
+        if p[k] < 0:
+            p[k] = -p[k]
+            p[k + 1] = p[k + 1] + np.pi
+            t[k] = -t[k]
+    p[3] = _wrap_angle(p[3])
+    p[5] = _wrap_angle(p[5])
     cov = t @ cov_q @ t.T
     rms = float(np.sqrt(np.mean(res.fun ** 2)))
     return p, cov, rms

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import dataio
-from .circlefit import default_frequencies, notch_model, synthesize_notch
+from .circlefit import _dip, check_internal_loss, default_frequencies, synthesize_notch
 from .errors import DataError, FitError
 from .filmchar import pseudo_voigt
 from .tlsloss import HBAR, chip_power_watt, eval_tls_model
@@ -192,9 +192,11 @@ def synthesize_feedline(resonators=None, npoints=72001, a=1.0, alpha=0.3,
                         tau=40e-9, noise_sigma=0.0, seed=4321):
     """Wideband transmission past several notch resonators.
 
-    The trace is the product of the individual notch dips under one
-    shared amplitude, phase offset, and cable delay. Returns
-    (sweep, truth).
+    The trace is the product of the bare notch dips 1 - _dip(...), each
+    without an environment, multiplied once by the shared environment
+    a*exp(i*(alpha - 2*pi*f*tau)) (Probst et al. 2015). A resonator
+    whose internal loss 1/Ql - cos(phi)/|Qc| is not positive raises
+    DataError. Returns (sweep, truth).
     """
     if resonators is None:
         resonators = default_feedline_resonators()
@@ -205,6 +207,8 @@ def synthesize_feedline(resonators=None, npoints=72001, a=1.0, alpha=0.3,
             if not r[name] > 0:
                 raise DataError(f"resonator {k}: {name} must be positive, "
                                 f"got {float(r[name])!r}")
+        check_internal_loss(f"resonator {r.get('resonator_id', k)}",
+                            r["Ql"], r["Qc_mag"], r["phi"])
     if not a > 0:
         raise DataError(f"a must be positive, got {float(a)!r}")
     if noise_sigma < 0:
@@ -214,9 +218,9 @@ def synthesize_feedline(resonators=None, npoints=72001, a=1.0, alpha=0.3,
     f = np.linspace(frs.min() - margin, frs.max() + margin, npoints)
     z = np.ones_like(f, dtype=complex)
     for r in resonators:
-        dip = notch_model(f, r["fr"], r["Ql"], r["Qc_mag"], r["phi"],
-                          a=1.0, alpha=0.0, tau=0.0)
-        z = z * dip
+        # in place, so z stays the left operand: a complex product can
+        # differ in the last bit when its operands swap
+        z *= 1.0 - _dip(f, r["fr"], r["Ql"], r["Qc_mag"], r["phi"])
     z = z * a * np.exp(1j * (alpha - 2.0 * np.pi * f * tau))
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)

@@ -332,6 +332,26 @@ class TestFitResonance:
         assert len(failures) <= 11, failures
         assert all(msg.startswith("no dip found") for msg in failures), failures
 
+    @pytest.mark.parametrize("k", [2, 4], ids=["Qc_mag", "a"])
+    def test_mirrored_start_folds_to_physical(self, k):
+        # the model is unchanged under (Qc_mag, phi) -> (-Qc_mag, phi - pi)
+        # and (a, alpha) -> (-a, alpha - pi); from the mirrored start the
+        # solve ends on the mirror branch and _refine must fold it back,
+        # sign flips included in the covariance
+        s = make_sweep(fr=5e9, ql=5e4, qc=1e5, phi=0.1, a=0.9, alpha=0.5,
+                       tau=40e-9, noise=1e-3, seed=5)
+        f, z = s.frequency_hz, s.s21
+        p0 = np.array([5e9, 5e4, 1e5, 0.1, 0.9, 0.5, 40e-9])
+        mirrored = p0.copy()
+        mirrored[k] = -p0[k]
+        mirrored[k + 1] = p0[k + 1] - np.pi
+        p, cov, rms = circlefit._refine(f, z, p0)
+        p_m, cov_m, rms_m = circlefit._refine(f, z, mirrored)
+        sd = np.sqrt(np.diag(cov))
+        assert np.all(np.abs(p_m - p) <= 1e-9 * sd)
+        assert np.all(np.abs(cov_m - cov) <= 1e-12 * np.outer(sd, sd))
+        assert rms_m == pytest.approx(rms, rel=1e-12)
+
     def test_flat_trace_raises(self):
         f = np.linspace(4e9, 4.01e9, 200)
         z = np.full(200, 0.9 + 0.05j)
@@ -382,6 +402,11 @@ class TestSynthesizeNotch:
             make_sweep(qc=0.0)
         with pytest.raises(DataError, match=r"^Ql must be positive, got -1\.0$"):
             make_sweep(ql=np.float64(-1.0))
+        # 1/Ql - cos(phi)/|Qc| = 5e-6 - cos(0.05) * 1e-5 < 0, no resonator_id
+        with pytest.raises(DataError, match=r"^resonator: internal loss 1/Qi = "
+                                            r"1/Ql - cos\(phi\)/Qc_mag must be "
+                                            r"positive, got -4\.99e-06$"):
+            make_sweep(ql=2e5, qc=1e5, phi=0.05)
 
     def test_default_grid_spans_ten_linewidths(self):
         s = make_sweep(fr=6e9, ql=6e4)

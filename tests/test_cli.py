@@ -844,6 +844,10 @@ class TestBadNumbers:
         ("power_series", "qc=0", "fr and qc_mag must be positive"),
         ("feedline", "f_start=0", "resonator 0: fr must be positive, got 0.0"),
         ("feedline", "a=0", "a must be positive, got 0.0"),
+        ("notch", "qc=7e4", "resonator R0: internal loss 1/Qi = 1/Ql - "
+         "cos(phi)/Qc_mag must be positive, got -1.77e-06"),
+        ("feedline", "n_res=18", "resonator R17: internal loss 1/Qi = 1/Ql - "
+         "cos(phi)/Qc_mag must be positive, got -1.85e-07"),
         ("power_series", "power_step_db=1e4",
          "applied power 9905 dBm after 60 dB of attenuation is more watts "
          "than a float holds"),
@@ -851,6 +855,7 @@ class TestBadNumbers:
          "chip power 1e+291 W puts more photons in the resonator than a float holds"),
     ], ids=["notch_npoints", "xrd_step", "power_series_n_powers", "rt_noise",
             "notch_ql", "power_series_qc", "feedline_f_start", "feedline_a",
+            "notch_internal_q", "feedline_internal_q",
             "power_series_step_overflow", "power_series_photons_overflow"])
     def test_synth_out_of_range(self, tmp_path, capsys, kind, param, text):
         with warnings.catch_warnings(record=True) as caught:

@@ -1,5 +1,5 @@
 """synth's numpy replacements for scipy's brentq and expit, with scipy as
-the reference."""
+the reference, and the feedline generator."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import scipy.optimize
 import scipy.special
 
 from cpwloss import synth
+from cpwloss.circlefit import notch_model
 from cpwloss.errors import FitError
 from cpwloss.tlsloss import chip_power_watt
 
@@ -63,3 +64,26 @@ def test_logistic_within_one_ulp_of_expit():
     ours, theirs = synth.logistic(z), scipy.special.expit(z)
     assert np.all(ours >= np.nextafter(theirs, -np.inf))
     assert np.all(ours <= np.nextafter(theirs, np.inf))
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_feedline_bytes_match_one_environment_per_resonator(seed):
+    # the trace as it was built before the bare dips: each factor a full
+    # notch_model with a unit environment, z on the left of every product.
+    # 20001 points (320 kB) is above numpy's 256 KiB temporary-elision
+    # threshold, where `z * (1.0 - _dip(...))` can reuse the temporary with
+    # its operands swapped; complex products are not bitwise commutative
+    resonators = synth.default_feedline_resonators()
+    sweep, _ = synth.synthesize_feedline(resonators, npoints=20001,
+                                         noise_sigma=5e-4, seed=seed)
+    f = sweep.frequency_hz
+    a, alpha, tau = 1.0, 0.3, 40e-9
+    z = np.ones_like(f, dtype=complex)
+    for r in resonators:
+        dip = notch_model(f, r["fr"], r["Ql"], r["Qc_mag"], r["phi"],
+                          a=1.0, alpha=0.0, tau=0.0)
+        z = z * dip
+    z = z * a * np.exp(1j * (alpha - 2.0 * np.pi * f * tau))
+    rng = np.random.default_rng(seed)
+    z = z + 5e-4 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+    assert sweep.s21.tobytes() == z.tobytes()
