@@ -206,23 +206,20 @@ def _fit_phase(f, w, fr0, ql0):
     """Fit theta(f) = theta0 + 2*arctan(2*Ql*(fr - f)/fr) to centered data.
 
     One Levenberg-Marquardt solve over (theta0, Ql, fr), started at the
-    mean of the two end-point phases and the (fr0, ql0) guesses, with Ql
-    and fr scaled by their guesses so every parameter is O(1). The
+    mean of the two end-point phases and the (fr0, ql0) guesses. The
     result only starts _refine, so the solve stops at 1e-8.
     """
     inc = _phase_increments(w)
     theta = np.angle(w[0]) + np.concatenate([[0.0], np.cumsum(inc)])
-    scales = np.array([1.0, ql0, fr0])
     p0 = np.array([0.5 * (theta[0] + theta[-1]), ql0, fr0])
 
-    def resid(q):
-        return _phase_model(f, *(q * scales)) - theta
+    def resid(p):
+        return _phase_model(f, *p) - theta
 
-    def jac(q):
-        return _phase_jac(f, *(q * scales)) * scales
+    def jac(p):
+        return _phase_jac(f, *p)
 
-    sol = solve(resid, jac, p0 / scales, xtol=1e-6, ftol=1e-8, max_nfev=800)
-    theta0, ql, fr = sol.x * scales
+    theta0, ql, fr = solve(resid, jac, p0, xtol=1e-6, ftol=1e-8, max_nfev=800).x
     if ql <= 0 or not f[0] <= fr <= f[-1]:
         raise FitError("phase fit failed: resonance outside the sweep or Ql <= 0")
     return theta0, ql, fr
@@ -369,32 +366,28 @@ def _refine(f, z, p0):
     f = 0 phase must cancel every change of tau by 2*pi*f_c*dtau, which
     makes the alpha and tau Jacobian columns nearly collinear. The
     result and its covariance are mapped back by alpha = alpha_c +
-    2*pi*f_c*tau.
+    2*pi*f_c*tau; the other six go to the solver in model units.
     """
-    span = f[-1] - f[0]
     fc = 0.5 * (f[0] + f[-1])
-    scales = np.array([abs(p0[0]), abs(p0[1]), abs(p0[2]), 1.0,
-                       abs(p0[4]), 1.0, 1.0 / span])
     pc0 = np.array(p0, dtype=float)
     pc0[5] = _wrap_angle(p0[5] - TWO_PI * fc * p0[6])
 
-    def residuals(q):
-        diff = _centred_model(f, fc, q * scales) - z
+    def residuals(p):
+        diff = _centred_model(f, fc, p) - z
         return np.concatenate([diff.real, diff.imag])
 
-    def jac(q):
-        return _centred_jac(f, fc, q * scales) * scales
+    def jac(p):
+        return _centred_jac(f, fc, p)
 
     max_nfev = 1600
-    res = solve(residuals, jac, pc0 / scales, xtol=1e-15, ftol=1e-10,
-                max_nfev=max_nfev)
-    cov_q = covariance(res, f"refinement (limit {max_nfev} function evaluations)")
-    p = res.x * scales
+    res = solve(residuals, jac, pc0, xtol=1e-15, ftol=1e-10, max_nfev=max_nfev)
+    cov_c = covariance(res, f"refinement (limit {max_nfev} function evaluations)")
+    p = res.x.copy()
     p[5] = p[5] + TWO_PI * fc * p[6]
 
-    # unscale, then the same linear map as alpha = alpha_c + 2*pi*f_c*tau
-    t = np.diag(scales)
-    t[5, 6] = TWO_PI * fc * scales[6]
+    # the same linear map as alpha = alpha_c + 2*pi*f_c*tau
+    t = np.eye(7)
+    t[5, 6] = TWO_PI * fc
 
     # canonical parameter ranges, the model being unchanged under
     # (Qc_mag, phi) -> (-Qc_mag, phi + pi) and (a, alpha) -> (-a, alpha + pi):
@@ -406,6 +399,6 @@ def _refine(f, z, p0):
             t[k] = -t[k]
     p[3] = _wrap_angle(p[3])
     p[5] = _wrap_angle(p[5])
-    cov = t @ cov_q @ t.T
+    cov = t @ cov_c @ t.T
     rms = float(np.sqrt(np.mean(res.fun ** 2)))
     return p, cov, rms

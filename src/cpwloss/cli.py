@@ -250,9 +250,13 @@ def parse_windows_arg(windows_arg):
         return parse_spans(windows_arg, "Hz")
     doc = dataio.read_report(windows_arg)
     try:
-        return [(w["f_lo_hz"], w["f_hi_hz"]) for w in doc["body"]["windows"]]
+        spans = [(w["f_lo_hz"], w["f_hi_hz"]) for w in doc["body"]["windows"]]
     except (KeyError, TypeError):
         raise DataError(f"{windows_arg}: not a scan report with windows") from None
+    # each bound's JSON text, which parses as a number only for a JSON number
+    return [(parse_number(json.dumps(lo), f"{windows_arg}: window w{k} f_lo_hz"),
+             parse_number(json.dumps(hi), f"{windows_arg}: window w{k} f_hi_hz"))
+            for k, (lo, hi) in enumerate(spans)]
 
 
 def slice_sweep(sweep, f_lo, f_hi, label):

@@ -156,7 +156,7 @@ def _fit_one_peak(x, y, window):
         center=float(center),
         fwhm=float(fwhm),
         amplitude=float(amp),
-        eta=float(min(max(eta, 0.0), 1.0)),
+        eta=float(eta),
         baseline_intercept=float(b0c - b1 * xc),
         baseline_slope=float(b1),
         sigma={n: float(s) for n, s in zip(names, sig)},

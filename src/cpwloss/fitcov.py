@@ -9,7 +9,9 @@ the SVD of the column-scaled Jacobian, never from J^T J, so every
 damping trial at one point reuses one factorisation and a Jacobian of
 condition 1e10 loses no digits to squaring. Box bounds clip each trial
 point; a variable on a bound whose gradient points out of the box is
-held fixed until it turns inward.
+held fixed until it turns inward. Callers pass parameters in the
+model's own units: the column scaling makes the steps, the stopping
+tests and the covariance independent of those units.
 
 Near the optimum the change of the sum of squares is round-off, so a
 damped step is accepted or refused at random and the damped phase

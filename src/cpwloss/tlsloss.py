@@ -127,9 +127,9 @@ def fit_tls(points):
     Weighted least squares on log(delta), solved by fitcov.solve with
     the closed-form Jacobian _tls_log_jac; weights follow the supplied
     sigma_delta (converted to log space) when every point has one,
-    otherwise uniform. Parameters are bounded positive with beta in
-    [0.1, 1.0]; the solver holds a beta that the data push past a bound
-    on that bound, and the fit flags it, not hides it.
+    otherwise uniform. Parameters, in model units, are bounded positive
+    with beta in [0.1, 1.0]; the solver holds a beta that the data push
+    past a bound on that bound, and the fit flags it, not hides it.
     """
     points = sorted(points, key=lambda p: p.n_photon)
     if len(points) < 5:
@@ -161,23 +161,22 @@ def fit_tls(points):
                    np.exp(np.median(np.log(n))),  # geometric median of <n>
                    0.5,
                    d.min()])
-    scales = np.array([p0[0], p0[1], 1.0, p0[3]])
     tiny = 1e-6
-    lower = np.array([tiny * p0[0], tiny * p0[1], BETA_BOUNDS[0], tiny * p0[3]]) / scales
+    lower = np.array([tiny * p0[0], tiny * p0[1], BETA_BOUNDS[0], tiny * p0[3]])
     upper = np.array([np.inf, np.inf, BETA_BOUNDS[1], np.inf])
 
-    def residuals(q):
-        dtls, nc, beta, dhp = q * scales
+    def residuals(p):
+        dtls, nc, beta, dhp = p
         model = dtls / (1.0 + n / nc) ** beta + dhp
         return (np.log(model) - log_d) * weights
 
-    def jac(q):
-        return _tls_log_jac(n, *(q * scales)) * weights[:, None] * scales
+    def jac(p):
+        return _tls_log_jac(n, *p) * weights[:, None]
 
-    res = solve(residuals, jac, p0 / scales, lower, upper,
+    res = solve(residuals, jac, p0, lower, upper,
                 xtol=1e-15, ftol=1e-10, max_nfev=4000)
-    cov = covariance(res, "TLS fit") * np.outer(scales, scales)
-    dtls, nc, beta, dhp = res.x * scales
+    cov = covariance(res, "TLS fit")
+    dtls, nc, beta, dhp = res.x
     beta_clamped = (beta <= BETA_BOUNDS[0] * (1 + 1e-9)
                     or beta >= BETA_BOUNDS[1] * (1 - 1e-9))
 

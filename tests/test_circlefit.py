@@ -332,6 +332,27 @@ class TestFitResonance:
         assert len(failures) <= 11, failures
         assert all(msg.startswith("no dip found") for msg in failures), failures
 
+    def test_refinement_is_well_conditioned(self, monkeypatch):
+        # cond(J^T J) of the column-scaled Jacobian the refinement factors,
+        # which no choice of parameter units changes; it is ~20 at the
+        # optimum, and ~1e9 without the alpha_c centring
+        solutions = []
+        solve = circlefit.solve
+
+        def recording_solve(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(circlefit, "solve", recording_solve)
+        rng = np.random.default_rng(1)
+        for k in range(20):
+            p = draw_notch_params(rng)
+            circlefit.fit_resonance(circlefit.synthesize_notch(
+                **p, frequencies=circlefit.default_frequencies(p["fr"], p["Ql"]),
+                noise_sigma=1e-3, seed=1000 + k))
+            s = solutions[-1].s
+            assert s.size == 7 and (s[0] / s[-1]) ** 2 < 1e3, k
+
     @pytest.mark.parametrize("k", [2, 4], ids=["Qc_mag", "a"])
     def test_mirrored_start_folds_to_physical(self, k):
         # the model is unchanged under (Qc_mag, phi) -> (-Qc_mag, phi - pi)

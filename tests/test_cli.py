@@ -798,6 +798,27 @@ class TestBadNumbers:
         self.assert_one_error(
             capsys, "fit", f"window '{spans}' must be finite, got '{bad}'")
 
+    @pytest.mark.parametrize("key,raw,text", [
+        ("f_lo_hz", '"abc"', """: cannot parse '"abc"' as a number"""),
+        ("f_lo_hz", "null", ": cannot parse 'null' as a number"),
+        ("f_hi_hz", "[1]", ": cannot parse '[1]' as a number"),
+        ("f_lo_hz", "true", ": cannot parse 'true' as a number"),
+        ("f_hi_hz", "1e400", " must be finite, got 'Infinity'"),
+    ], ids=["string", "null", "list", "bool", "overflow"])
+    def test_fit_windows_report_bound(self, tmp_path, capsys, key, raw, text):
+        assert run("synth", "notch", "--out", tmp_path) == 0
+        capsys.readouterr()
+        # raw JSON text: json.dumps cannot write 1e400
+        second = {"f_lo_hz": "4.9e9", "f_hi_hz": "5.1e9", key: raw}
+        report = tmp_path / "windows.json"
+        report.write_text('{"body": {"windows": [{"f_lo_hz": 4.9e9, "f_hi_hz": 5.1e9}, '
+                          '{"f_lo_hz": %(f_lo_hz)s, "f_hi_hz": %(f_hi_hz)s}]}}' % second)
+        assert run("fit", tmp_path / "notch.dat", "--windows", report,
+                   "--out", tmp_path) == 1
+        self.assert_one_error(
+            capsys, "fit", f"{report}: window w1 {key}{text}")
+        assert not (tmp_path / "fit_report.json").exists()
+
     @pytest.mark.parametrize("seed,text", [
         ("abc", "--seed: cannot parse 'abc' as int"),
         ("-1", "--seed must be >= 0, got -1"),

@@ -101,3 +101,33 @@ def test_no_degrees_of_freedom_gives_zero():
     res = solve_linear(design, y)
     assert res.status > 0
     assert np.all(covariance(res, "exact fit") == 0.0)
+
+
+@pytest.mark.parametrize("c", [
+    [1e-12, 1e-12, 1e-12], [1e12, 1e12, 1e12], [1e-12, 1.0, 1e12],
+    [1e12, 1e-6, 3.7], [7.3e-5, 1e9, 1e-12],
+], ids=["all_small", "all_large", "spread", "mixed", "reversed"])
+def test_solve_does_not_depend_on_parameter_units(c):
+    # y = A exp(-t/T) + B with B held >= 0.05, solved for x and for x/c:
+    # the column scaling makes the two solves take the same steps
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 5.0, 60)
+    y = 2.0 * np.exp(-t / 1.3) + 0.04 + 0.01 * rng.standard_normal(t.size)
+    x0, lower, upper = np.array([1.0, 3.0, 0.5]), np.array([-np.inf, 0.1, 0.05]), np.inf
+
+    def fun(p):
+        return p[0] * np.exp(-t / p[1]) + p[2] - y
+
+    def jac(p):
+        e = np.exp(-t / p[1])
+        return np.column_stack([e, p[0] * e * t / p[1] ** 2, np.ones_like(t)])
+
+    c = np.array(c)
+    ref = solve(fun, jac, x0, lower, upper, xtol=1e-15, ftol=1e-10, max_nfev=200)
+    res = solve(lambda q: fun(q * c), lambda q: jac(q * c) * c, x0 / c, lower / c,
+                upper, xtol=1e-15, ftol=1e-10, max_nfev=200)
+    assert ref.status > 0 and ref.x[2] == 0.05
+    assert (res.status, res.nfev, res.njev) == (ref.status, ref.nfev, ref.njev)
+    assert res.x * c == pytest.approx(ref.x, rel=1e-12, abs=0.0)
+    sigma = np.sqrt(np.diag(covariance(res, "scaled fit"))) * c
+    assert sigma == pytest.approx(np.sqrt(np.diag(covariance(ref, "fit"))), rel=1e-12, abs=0.0)
