@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -198,6 +199,39 @@ class TestScan:
                 want = median_filter(x, size=size, mode="mirror")
                 got = cli.moving_median(x, size)
                 assert got.tobytes() == want.tobytes(), (trial, n, size)
+
+    def test_moving_median_matches_scipy_across_segments(self):
+        # a segment's windows read only their own slice, so the result
+        # must not move: on traces a whole number of segments long or
+        # with a short last one, at scan's size (segments of
+        # _MEDIAN_SEGMENT_MIN windows) and at 1201 (segments of
+        # 4 * 1201), and with size >= n, which is one segment
+        from scipy.ndimage import median_filter
+        rng = np.random.default_rng(29)
+        seg = cli._MEDIAN_SEGMENT_MIN
+        for n, size in ((3 * seg, None), (3 * seg + 100, None),
+                        (4 * 4 * 1201, 1201), (4 * 4 * 1201 + 7, 1201),
+                        (1000, 1001), (1000, 1999)):
+            for x in (rng.standard_normal(n), rng.integers(-2, 3, n) * 0.5,
+                      np.repeat(rng.standard_normal(n // 16 + 1), 16)[:n]):
+                sizes = (size,) if size else (
+                    max(51, 2 * (n // 100) + 1), 2 * int(rng.integers(1, n // 10)) + 1)
+                for s in sizes:
+                    want = median_filter(x, size=s, mode="mirror")
+                    assert cli.moving_median(x, s).tobytes() == want.tobytes(), (n, s)
+
+    def test_moving_median_peak_memory(self):
+        # one wavelet matrix over the whole padded trace held ~14 arrays
+        # of its length, 8.3x the trace at wideband's 345,307 points and
+        # scan's size; segments of 4 * size windows peak at 2.6x
+        x = np.random.default_rng(31).standard_normal(345_307)
+        tracemalloc.start()
+        try:
+            cli.moving_median(x, 6907)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes
 
     @pytest.mark.parametrize("index", [0, 399])
     def test_dip_at_trace_end(self, index):
@@ -495,6 +529,8 @@ class TestReport:
         tls_report("good.json", {"delta_lp": 4e-6})
         tls_report("no_fit.json", None)
         tls_report("text.json", {"delta_lp": "big"})
+        # a JSON integer past a float's range: np.isfinite raises on it
+        tls_report("huge.json", {"delta_lp": 10 ** 400})
         (tmp_path / "list.json").write_text("[1, 2]")
         out = tmp_path / "out"
         assert run("report", tmp_path, "--out", out) == 0
@@ -502,7 +538,8 @@ class TestReport:
         assert body["n_reports"] == 1
         assert body["groups"]["by_key"]["B/HP/HT/BOE"]["median"] == 4e-6
         assert [(os.path.basename(s["path"]), s["reason"]) for s in body["skipped"]] \
-            == [("no_fit.json", "no finite delta_lp"), ("text.json", "no finite delta_lp")]
+            == [("huge.json", "no finite delta_lp"), ("no_fit.json", "no finite delta_lp"),
+                ("text.json", "no finite delta_lp")]
 
     def test_bad_process_key_skipped(self, tmp_path):
         for name, process in (("good.json", "B/HP/HT/BOE"), ("bad.json", "Z/HP/HT/none")):
