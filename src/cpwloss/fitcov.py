@@ -21,7 +21,8 @@ finishes with undamped Gauss-Newton steps -V S^-1 U^T r and no cost
 test (Nocedal and Wright, Numerical Optimization, 2nd ed. (2006),
 ch. 10). They converge to the optimum at round-off, so the result no
 longer depends on how the damped phase got there. covariance() reads
-s^2 (J^T J)^+ from the SVD at the final point.
+s^2 (J^T J)^+ from the SVD at the final point; jacobian_covariance()
+forms it the same way from a Jacobian in other coordinates.
 """
 
 from dataclasses import dataclass
@@ -32,8 +33,8 @@ from .errors import FitError
 
 EPS = np.finfo(float).eps
 # A cap on the finishing Gauss-Newton steps; they stop sooner, once a
-# step no longer halves. On the 200 acceptance draws the refinement
-# takes at most 5 at noise 1e-3, and one fit in 189 reaches the cap at
+# step no longer halves. On the 200 acceptance draws the resonance fit
+# takes at most 5 at noise 1e-3, and 8 fits of 189 reach the cap at
 # noise 1e-2.
 FINISH_STEPS = 8
 
@@ -263,7 +264,20 @@ def covariance(res, what):
     """
     if res.status <= 0:
         raise FitError(f"{what} did not converge: {res.message}")
-    dof = res.fun.size - res.x.size
-    s2 = 2.0 * res.cost / dof if dof > 0 else 0.0
-    vt = res.vt / res.scale
-    return (vt.T / res.s ** 2) @ vt * s2
+    return _covariance(res.s, res.vt / res.scale, res.cost, res.fun.size)
+
+
+def jacobian_covariance(jac, cost):
+    """covariance() of an optimum given by the Jacobian jac there, in its
+    coordinates, and the cost |r|^2/2 there; D is jac's column norms."""
+    scale = np.linalg.norm(jac, axis=0)
+    scale[scale == 0.0] = 1.0
+    _, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+    keep = _kept(s, jac.shape)
+    return _covariance(s[keep], vt[keep] / scale, cost, jac.shape[0])
+
+
+def _covariance(s, vt, cost, m):
+    dof = m - vt.shape[1]
+    s2 = 2.0 * cost / dof if dof > 0 else 0.0
+    return (vt.T / s ** 2) @ vt * s2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpwloss.errors import FitError
-from cpwloss.fitcov import covariance, solve
+from cpwloss.fitcov import covariance, jacobian_covariance, solve
 
 
 def linear_problem(m=40, seed=0):
@@ -36,6 +36,18 @@ def test_linear_solution_matches_closed_form():
     res = solve_linear(design, y, x0=np.array([5.0, -3.0, 2.0]))
     assert res.status > 0
     assert np.max(np.abs(res.x - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_jacobian_covariance_matches_the_solve():
+    # the same s^2 (J^T J)^+ from the Jacobian alone, in the solve's
+    # coordinates and in coordinates scaled by c
+    design, y = linear_problem()
+    res = solve_linear(design, y)
+    expected = covariance(res, "linear fit")
+    assert jacobian_covariance(res.jac, res.cost) == pytest.approx(expected, rel=1e-12)
+    c = np.array([1e-6, 1.0, 1e6])
+    assert jacobian_covariance(res.jac * c, res.cost) == \
+        pytest.approx(expected / np.outer(c, c), rel=1e-12)
 
 
 def test_ill_conditioned_jacobian():
