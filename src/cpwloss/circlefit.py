@@ -12,11 +12,11 @@ trace's wing slope and its dip, then fits all seven parameters with one
 variable-projection solve (Golub and Pereyra, SIAM J. Numer. Anal. 10,
 413 (1973)): for fixed (fr, Ql, tau) the model is linear in two complex
 coefficients, which a least-squares step gives, so the nonlinear solver
-sees three parameters. The errors come from the model's closed-form
-seven-parameter Jacobian at the optimum (Probst et al., Rev. Sci.
-Instrum. 86, 024706 (2015)). The detuning is written (f - fr)/fr,
-which is exact near fr, not f/fr - 1, which loses up to log10(2*Ql)
-digits before the product with 2*Ql.
+sees three parameters. The errors of all seven come from that solve's
+final SVD and the Schur complement of the separable problem (Probst et
+al., Rev. Sci. Instrum. 86, 024706 (2015)). The detuning is written
+(f - fr)/fr, which is exact near fr, not f/fr - 1, which loses up to
+log10(2*Ql) digits before the product with 2*Ql.
 """
 
 import warnings
@@ -26,7 +26,8 @@ import numpy as np
 
 from .dataio import ComplexSweep
 from .errors import DataError, FitError
-from .fitcov import jacobian_covariance, solve
+from .fitcov import covariance, solve
+from .stats import median
 
 TWO_PI = 2.0 * np.pi
 
@@ -138,10 +139,10 @@ def _wing_slices(n):
 def _wing_delay(f, z):
     """Cable delay in seconds from the phase slope of the trace's wings.
 
-    Linear fits to the unwrapped phase of the outer 20% of points on
-    each side of the trace (averaged), which see mostly the
-    e^{-2i*pi*f*tau} winding. This is only a start value: fit_resonance
-    fits tau jointly with fr and Ql.
+    Least-squares slopes, in closed form on centred frequencies, of the
+    unwrapped phase of the outer 20% of points on each side of the trace
+    (averaged), which see mostly the e^{-2i*pi*f*tau} winding. This is
+    only a start value: fit_resonance fits tau jointly with fr and Ql.
     """
     left, right = _wing_slices(f.size)
     slopes = []
@@ -151,7 +152,8 @@ def _wing_delay(f, z):
             raise FitError("phase unwrap failure: adjacent off-resonant points "
                            "step by ~pi; the sweep undersamples the delay winding")
         phase = np.concatenate([[0.0], np.cumsum(inc)])
-        slopes.append(np.polyfit(f[sl], phase, 1)[0])
+        x = f[sl] - f[sl].sum() / phase.size
+        slopes.append((x @ phase) / (x @ x))
     return -0.5 * (slopes[0] + slopes[1]) / TWO_PI
 
 
@@ -194,8 +196,7 @@ def _wrap_angle(angle):
 def _noise_floor(z):
     # adjacent-point differences are insensitive to the resonance shape;
     # |diff| of white complex noise is Rayleigh with median 1.665*sigma
-    med = np.median(np.abs(np.diff(z)))
-    return float(med) / 1.665
+    return median(np.abs(np.diff(z))) / 1.665
 
 
 @dataclass(frozen=True)
@@ -237,9 +238,9 @@ def fit_resonance(sweep):
     A wing-slope delay and the dip's depth and width give a start for
     (fr, Ql, tau); after the diameter gate, one variable-projection
     solve over those three fits the rest as the two linear coefficients
-    of _linear_step, and the seven-parameter Jacobian at the optimum
-    gives the errors. Raises FitError when no dip stands above the noise
-    floor, the solve does not converge, the residual is more than
+    of _linear_step, and _covariance maps the solve's own covariance to
+    the errors of all seven. Raises FitError when no dip stands above the
+    noise floor, the solve does not converge, the residual is more than
     ADEQUACY_LIMIT times the noise floor, or the fit is unphysical.
     """
     f = sweep.frequency_hz
@@ -259,25 +260,33 @@ def fit_resonance(sweep):
 
     fr0, ql0 = _initial_guesses(f, zc)
     fc = 0.5 * (f[0] + f[-1])
+    df = f - f[0]
+    w = 1j * TWO_PI * (f - fc)
+    # one entry: solve asks for a Jacobian only where it has just taken residuals
+    memo = [None, None]
+
+    def step(theta):
+        if memo[0] != theta.tobytes():
+            memo[:] = theta.tobytes(), _linear_step(f, df, w, z, theta)
+        return memo[1]
 
     def residuals(theta):
-        r = _linear_step(f, z, fc, theta)[4]
+        r = step(theta)[4]
         return np.concatenate([r.real, r.imag])
 
     def jac(theta):
-        return _projected_jac(f, fc, theta, *_linear_step(f, z, fc, theta)[:4])
+        return _projected_jac(f, w, theta, *step(theta)[:4])
 
     # fr enters as fr - f[0], whose double resolves the optimum below one
     # ulp of fr, so c0 and c1 belong to the optimum and not to the double
-    # nearest fr; unlike fr - fc it is never near 0, where solve's
-    # relative xtol test could not pass
+    # nearest fr
     res = solve(residuals, jac, np.array([fr0 - f[0], ql0, tau0]),
                 xtol=1e-15, ftol=1e-10, max_nfev=MAX_NFEV)
     if res.status == 0:
         raise FitError(f"resonance fit (limit {MAX_NFEV} function evaluations) "
                        f"did not converge: {res.message}")
     fr_f, ql_f, tau_f = f[0] + res.x[0], res.x[1], res.x[2]
-    c0, c1 = _linear_step(f, z, fc, res.x)[:2]
+    c0, c1, h, hc = step(res.x)[:4]
     qc_f, phi_f, a_f, alpha_c = _linear_parameters(ql_f, c0, c1)
 
     rms = float(np.sqrt(np.mean(res.fun ** 2)))
@@ -303,13 +312,7 @@ def fit_resonance(sweep):
         warnings.warn(f"sweep spans only {span_lw:.2f} linewidths around the dip; "
                       f"background calibration may be biased", stacklevel=2)
 
-    # the covariance of the seven parameters with alpha_c, the environment
-    # phase at f = fc, then that of alpha = alpha_c + 2*pi*f_c*tau; at f = 0
-    # the alpha and tau columns would be nearly collinear
-    p = np.array([fr_f, ql_f, qc_f, phi_f, a_f, alpha_c, tau_f])
-    t = np.eye(7)
-    t[5, 6] = TWO_PI * fc
-    cov = t @ jacobian_covariance(_centred_jac(f, fc, p), res.cost) @ t.T
+    cov = _covariance(res, f, fc, w, c0, c1, h, hc)
     alpha_f = _wrap_angle(alpha_c + TWO_PI * fc * tau_f)
 
     names = ("fr", "Ql", "Qc_mag", "phi", "a", "alpha", "tau")
@@ -329,17 +332,17 @@ def fit_resonance(sweep):
     )
 
 
-def _linear_step(f, z, fc, theta):
-    """The least-squares c0, c1 of y = z*e^{2i*pi*(f - fc)*tau} = c0 + c1*h,
-    h = 1/(1 + 2i*Ql*(f - fr)/fr), at theta = (fr - f[0], Ql, tau), from the
-    orthogonal columns 1 and hc = h - mean(h). Returns (c0, c1, h, hc, r),
-    r being the residual y - c0 - c1*h."""
+def _linear_step(f, df, w, z, theta):
+    """The least-squares c0, c1 of y = z*e^{w*tau} = c0 + c1*h, w = 2i*pi*(f - fc),
+    h = 1/(1 + 2i*Ql*(f - fr)/fr), at theta = (fr - f[0], Ql, tau), df = f - f[0],
+    from the orthogonal columns 1 and hc = h - mean(h). Returns (c0, c1, h,
+    hc, r), r being the residual y - c0 - c1*h."""
     u, ql, tau = theta
-    y = z * np.exp(1j * TWO_PI * (f - fc) * tau)
-    h = 1.0 / (1.0 + 2j * ql * ((f - f[0]) - u) / (f[0] + u))
-    hm = h.mean()
+    y = z * np.exp(w * tau)
+    h = 1.0 / (1.0 + 2j * ql * (df - u) / (f[0] + u))
+    hm = h.sum() / h.size
     hc = h - hm
-    ym = y.mean()
+    ym = y.sum() / y.size
     c1 = np.vdot(hc, y) / np.vdot(hc, hc).real
     return ym - c1 * hm, c1, h, hc, (y - ym) - c1 * hc
 
@@ -350,38 +353,56 @@ def _linear_parameters(ql, c0, c1):
     return ql * abs(c0) / abs(c1), np.angle(-c1 / c0), abs(c0), np.angle(c0)
 
 
-def _projected_jac(f, fc, theta, c0, c1, h, hc):
-    """Kaufman's Jacobian -P*(dB/dtheta)*c of _linear_step's residual (BIT
-    15, 49 (1975)), B = e^{-2i*pi*(f - fc)*tau}*[1, h], P projecting out
-    its columns, real parts stacked over imaginary parts. Like r, each
-    column is taken times e^{2i*pi*(f - fc)*tau}, which keeps every norm."""
+def _model_columns(f, w, theta, c0, c1, h):
+    """d/dtheta of the model e^{-w*tau}*(c0 + c1*h) times e^{w*tau}, (3, n)."""
     u, ql, _ = theta
     fr = f[0] + u
     c1dh = 2j * c1 * h * h
     cols = np.empty((3, f.size), dtype=complex)
     cols[0] = c1dh * ql * f / fr ** 2
     cols[1] = -c1dh * (f - fr) / fr
-    cols[2] = (-1j * TWO_PI) * (f - fc) * (c0 + c1 * h)
-    cols -= cols.mean(axis=1, keepdims=True)
-    cols -= np.outer(cols @ np.conj(hc) / np.vdot(hc, hc).real, hc)
+    cols[2] = -w * (c0 + c1 * h)
+    return cols
+
+
+def _projected_jac(f, w, theta, c0, c1, h, hc):
+    """Kaufman's Jacobian -P*(dB/dtheta)*c of _linear_step's residual (BIT
+    15, 49 (1975)), B = e^{-w*tau}*[1, h], P projecting out its columns,
+    real parts stacked over imaginary parts. Like r, each column is taken
+    times e^{w*tau}, which keeps every norm."""
+    cols = _model_columns(f, w, theta, c0, c1, h)
+    cols -= cols.sum(axis=1, keepdims=True) / f.size
+    cols -= (cols @ np.conj(hc) / np.vdot(hc, hc).real)[:, None] * hc
     return -np.concatenate([cols.real, cols.imag], axis=1).T
 
 
-def _centred_jac(f, fc, p):
-    """Jacobian of the seven-parameter model at p = (fr, Ql, Qc_mag, phi, a,
-    alpha_c, tau), alpha_c being the environment phase at f = fc, real
-    parts stacked over imaginary parts."""
-    fr, ql, qc, phi, a, alpha_c, tau = p
-    env = a * np.exp(1j * (alpha_c - TWO_PI * (f - fc) * tau))
-    den = 1.0 + 2j * ql * (f - fr) / fr
-    edip = env * ((ql / qc) * np.exp(1j * phi)) / den
-    m = env - edip
-    cols = np.empty((7, f.size), dtype=complex)
-    cols[0] = edip * (-2j * ql / fr ** 2) * f / den
-    cols[1] = -edip / (ql * den)
-    cols[2] = edip / qc
-    cols[3] = -1j * edip
-    cols[4] = m / a
-    cols[5] = 1j * m
-    cols[6] = (-1j * TWO_PI) * (f - fc) * m
-    return np.concatenate([cols.real, cols.imag], axis=1).T
+def _covariance(res, f, fc, w, c0, c1, h, hc):
+    """s^2 (J^T J)^-1 of (fr, Ql, Qc_mag, phi, a, alpha, tau) at the projected
+    solve's optimum res, s^2 = 2*cost/(2n - 7), alpha = arg c0 + 2*pi*fc*tau.
+
+    J = [A B] holds the model's columns over theta (A, _model_columns) and
+    over c0, c1 (B: 1 and h); beta are A's least-squares coefficients on B.
+    The Schur complement gives parameters p(theta, c) with gradients
+    G_theta, G_c the covariance E C E^T + s^2 G_c (B^T B)^-1 G_c^T, C being
+    the solve's own, E = G_theta - G_c beta.
+    """
+    n = f.size
+    dof = 2 * n - 7
+    cov_theta = covariance(res, "resonance fit") * ((2 * n - 3) / dof)
+    qc = res.x[1] * abs(c0) / abs(c1)
+    # gradients over theta, and over c0 and c1 as complex g, dp = Re(conj(g)*dc)
+    g_theta = np.zeros((7, 3))
+    g_theta[[0, 1, 2, 5, 6], [0, 1, 1, 2, 2]] = 1.0, 1.0, qc / res.x[1], TWO_PI * fc, 1.0
+    i0, i1 = 1.0 / np.conj(c0), 1.0 / np.conj(c1)
+    g0 = np.array([0.0, 0.0, qc * i0, -1j * i0, abs(c0) * i0, 1j * i0, 0.0])
+    g1 = np.array([0.0, 0.0, -qc * i1, 1j * i1, 0.0, 0.0, 0.0])
+    # beta: A's columns ~ mean + nu*hc = (mean - nu*hm) + nu*h
+    cols = _model_columns(f, w, res.x, c0, c1, h)
+    hm = h.sum() / n
+    hh = np.vdot(hc, hc).real
+    nu = cols @ np.conj(hc) / hh
+    beta0 = cols.sum(axis=1) / n - nu * hm
+    e = g_theta - (np.conj(g0)[:, None] * beta0 + np.conj(g1)[:, None] * nu).real
+    # G_c over d, c0 + c1*h = d0/sqrt(n) + d1*hc/|hc| on an orthonormal basis
+    d = np.column_stack([g0 / np.sqrt(n), (g1 - g0 * np.conj(hm)) / np.sqrt(hh)])
+    return e @ cov_theta @ e.T + 2.0 * res.cost / dof * (np.conj(d) @ d.T).real

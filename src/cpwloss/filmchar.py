@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DataError, FitError
 from .fitcov import covariance, solve
+from .stats import median
 
 FOUR_LN2 = 4.0 * np.log(2.0)
 
@@ -118,7 +119,7 @@ def _fit_one_peak(x, y, window):
     detrended = y - (b0_init + b1_init * x)
     i_peak = int(np.argmax(detrended))
     prominence = float(detrended[i_peak])
-    floor = max(3.0 * noise, 1e-9 * max(1.0, float(np.abs(np.median(y)))))
+    floor = max(3.0 * noise, 1e-9 * max(1.0, abs(median(y))))
     if prominence < floor:
         raise FitError(f"no peak in window [{lo}, {hi}]: prominence "
                        f"{prominence:.3g} below 3x baseline noise {noise:.3g}")
@@ -323,7 +324,7 @@ def extract_tc_rrr(sweep):
         raise FitError("no transition found: sweep has no low-temperature region")
     i_steep = int(np.argmax(np.where(search, slope, -np.inf)))
     init = (t >= t[i_steep]) & (t <= t[i_steep] + 2.0)
-    r_plateau = float(np.median(r[init]))
+    r_plateau = median(r[init])
 
     for _ in range(6):
         above = np.nonzero(r >= 0.95 * r_plateau)[0]

@@ -21,8 +21,8 @@ finishes with undamped Gauss-Newton steps -V S^-1 U^T r and no cost
 test (Nocedal and Wright, Numerical Optimization, 2nd ed. (2006),
 ch. 10). They converge to the optimum at round-off, so the result no
 longer depends on how the damped phase got there. covariance() reads
-s^2 (J^T J)^+ from the SVD at the final point; jacobian_covariance()
-forms it the same way from a Jacobian in other coordinates.
+s^2 (J^T J)^+ from the SVD at the final point; a separable fit maps it
+to its linear parameters without a second factorisation (circlefit).
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ from .errors import FitError
 EPS = np.finfo(float).eps
 # A cap on the finishing Gauss-Newton steps; they stop sooner, once a
 # step no longer halves. On the 200 acceptance draws the resonance fit
-# takes at most 5 at noise 1e-3, and 8 fits of 189 reach the cap at
+# takes at most 4 at noise 1e-3, and 5 fits of 189 reach the cap at
 # noise 1e-2.
 FINISH_STEPS = 8
 
@@ -140,14 +140,13 @@ def solve(fun, jac, x0, lower=-np.inf, upper=np.inf, *, xtol, ftol, max_nfev):
     scale is the running maximum of J's column norms and the first step
     bound 100*|scale*x0|. It has converged when the Gauss-Newton step
     from x is predicted to lower |fun|^2 by at most ftol relative or
-    moves no component of x by more than xtol relative, or, as in
-    lmder, when a damped step gains at most ftol or the step bound
-    falls to xtol*|scale*x| (status 2 for ftol, 3 for xtol). The
-    finishing Gauss-Newton steps then run until one moves no component
-    by more than xtol relative, is longer than the trust region or than
-    half the step before it, or would leave the box, at most
-    FINISH_STEPS of them. max_nfev counts evaluations of fun before
-    convergence, the first included.
+    is at most xtol*|scale*x| long in scaled terms, or, as in lmder,
+    when a damped step gains at most ftol or the step bound falls to
+    xtol*|scale*x| (status 2 for ftol, 3 for xtol). The finishing
+    Gauss-Newton steps then run until one is at most xtol*|scale*x|
+    long, is longer than the trust region or than half the step before
+    it, or would leave the box, at most FINISH_STEPS of them. max_nfev
+    counts evaluations of fun before convergence, the first included.
     """
     x = np.asarray(x0, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
@@ -172,9 +171,10 @@ def solve(fun, jac, x0, lower=-np.inf, upper=np.inf, *, xtol, ftol, max_nfev):
         free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))
         g, s, vt = _factor(jx, r, scale, free)
         # x has converged once the Gauss-Newton step from it is predicted
-        # to gain at most ftol, or moves no component by more than xtol
+        # to gain at most ftol, or its scaled length is at most xtol times
+        # that of x, MINPACK's test, which a component near 0 cannot block
         step = -(vt.T @ (g / s)) * free / scale
-        at_xtol = np.all(np.abs(step) <= xtol * np.abs(x))
+        at_xtol = _norm(scale * step) <= xtol * _norm(scale * x)
         if status is None:
             if g @ g <= ftol * f2:
                 status = 2
@@ -264,20 +264,7 @@ def covariance(res, what):
     """
     if res.status <= 0:
         raise FitError(f"{what} did not converge: {res.message}")
-    return _covariance(res.s, res.vt / res.scale, res.cost, res.fun.size)
-
-
-def jacobian_covariance(jac, cost):
-    """covariance() of an optimum given by the Jacobian jac there, in its
-    coordinates, and the cost |r|^2/2 there; D is jac's column norms."""
-    scale = np.linalg.norm(jac, axis=0)
-    scale[scale == 0.0] = 1.0
-    _, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
-    keep = _kept(s, jac.shape)
-    return _covariance(s[keep], vt[keep] / scale, cost, jac.shape[0])
-
-
-def _covariance(s, vt, cost, m):
-    dof = m - vt.shape[1]
-    s2 = 2.0 * cost / dof if dof > 0 else 0.0
-    return (vt.T / s ** 2) @ vt * s2
+    vt = res.vt / res.scale
+    dof = res.fun.size - vt.shape[1]
+    s2 = 2.0 * res.cost / dof if dof > 0 else 0.0
+    return (vt.T / res.s ** 2) @ vt * s2

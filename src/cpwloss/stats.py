@@ -14,6 +14,16 @@ import numpy as np
 from .errors import DataError
 
 
+def median(values):
+    """np.median of a non-empty float sequence to the bit, without the
+    numpy.ma import (11-17 ms of a command's start) that np.median makes."""
+    a = np.asarray(values, dtype=float).ravel()
+    k = a.size // 2
+    part = np.partition(a, [k - 1 + a.size % 2, k, -1])
+    mid = part[k] if a.size % 2 else (part[k - 1] + part[k]) / 2
+    return np.nan if np.isnan(part[-1]) else float(mid)
+
+
 @dataclass(frozen=True)
 class BoxSummary:
     n: int

@@ -19,6 +19,7 @@ import numpy as np
 from .circlefit import fit_resonance
 from .errors import DataError, FitError
 from .fitcov import covariance, solve
+from .stats import median
 
 BETA_BOUNDS = (0.1, 1.0)
 # Reduced Planck constant h/(2*pi) in J s, equal to scipy's hbar to the last bit.
@@ -158,7 +159,7 @@ def fit_tls(points):
 
     log_d = np.log(d)
     p0 = np.array([d.max() - d.min(),
-                   np.exp(np.median(np.log(n))),  # geometric median of <n>
+                   np.exp(median(np.log(n))),  # geometric median of <n>
                    0.5,
                    d.min()])
     tiny = 1e-6

@@ -17,6 +17,42 @@ def ulp_change(values, rng):
     return np.nextafter(values, np.where(rng.random(values.shape) < 0.5, -np.inf, np.inf))
 
 
+def centred_jac(f, fc, p):
+    """Jacobian of the seven-parameter model at p = (fr, Ql, Qc_mag, phi, a,
+    alpha_c, tau), alpha_c being the environment phase at f = fc, real
+    parts stacked over imaginary parts."""
+    fr, ql, qc, phi, a, alpha_c, tau = p
+    env = a * np.exp(1j * (alpha_c - 2 * np.pi * (f - fc) * tau))
+    den = 1.0 + 2j * ql * (f - fr) / fr
+    edip = env * ((ql / qc) * np.exp(1j * phi)) / den
+    m = env - edip
+    cols = np.empty((7, f.size), dtype=complex)
+    cols[0] = edip * (-2j * ql / fr ** 2) * f / den
+    cols[1] = -edip / (ql * den)
+    cols[2] = edip / qc
+    cols[3] = -1j * edip
+    cols[4] = m / a
+    cols[5] = 1j * m
+    cols[6] = (-2j * np.pi) * (f - fc) * m
+    return np.concatenate([cols.real, cols.imag], axis=1).T
+
+
+def centred_parameters(fit, fc):
+    """(fr, Ql, Qc_mag, phi, a, alpha_c, tau) of a ResonanceFit."""
+    return np.array([fit.fr, fit.Ql, fit.Qc_mag, fit.phi, fit.a,
+                     fit.alpha - 2 * np.pi * fc * fit.tau, fit.tau])
+
+
+def noisy_draws(count, noise=1e-3):
+    """The first `count` acceptance draws (rng 1) with noise seeds 1000 + k."""
+    rng = np.random.default_rng(1)
+    for k in range(count):
+        p = draw_notch_params(rng)
+        yield circlefit.synthesize_notch(
+            **p, frequencies=circlefit.default_frequencies(p["fr"], p["Ql"]),
+            noise_sigma=noise, seed=1000 + k)
+
+
 def make_sweep(fr=6e9, ql=5e4, qc=1e5, phi=0.0, a=1.0, alpha=0.0, tau=0.0,
                noise=0.0, seed=None, **kw):
     return circlefit.synthesize_notch(fr, ql, qc, phi, a=a, alpha=alpha,
@@ -83,8 +119,9 @@ class TestJacobians:
         return f, fr, ql
 
     def test_refine_jacobian(self):
-        # _centred_jac, which gives the covariance, against the model it
-        # differentiates, written out here as fit_resonance never evaluates it
+        # centred_jac, the reference of the covariance tests, against the
+        # model it differentiates, written out here as fit_resonance never
+        # evaluates it
         rng = np.random.default_rng(17)
         for _ in range(6):
             f, fr, ql = self.draw(rng)
@@ -101,7 +138,7 @@ class TestJacobians:
                 z = env * (1.0 - circlefit._dip(f, fr, ql, qc, phi))
                 return np.concatenate([z.real, z.imag])
 
-            self.assert_columns_match(circlefit._centred_jac(f, fc, p),
+            self.assert_columns_match(centred_jac(f, fc, p),
                                       self.central(stacked, p, steps))
 
     def test_projected_jacobian(self):
@@ -110,7 +147,7 @@ class TestJacobians:
         rng = np.random.default_rng(18)
         for _ in range(6):
             f, fr, ql = self.draw(rng)
-            fc = 0.5 * (f[0] + f[-1])
+            df, w = f - f[0], 2j * np.pi * (f - 0.5 * (f[0] + f[-1]))
             theta = np.array([fr - f[0], ql, rng.uniform(0.0, 100e-9)])
             z = circlefit.notch_model(f, fr, ql, ql * 10 ** rng.uniform(0.0, 1.3),
                                       rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.5),
@@ -119,12 +156,12 @@ class TestJacobians:
                               1e-5 / (2 * np.pi * np.ptp(f))])
 
             def stacked(q):
-                r = circlefit._linear_step(f, z, fc, q)[4]
+                r = circlefit._linear_step(f, df, w, z, q)[4]
                 return np.concatenate([r.real, r.imag])
 
             self.assert_columns_match(
-                circlefit._projected_jac(f, fc, theta,
-                                         *circlefit._linear_step(f, z, fc, theta)[:4]),
+                circlefit._projected_jac(f, w, theta,
+                                         *circlefit._linear_step(f, df, w, z, theta)[:4]),
                 self.central(stacked, theta, steps))
 
 
@@ -336,13 +373,8 @@ class TestFitResonance:
     def test_acceptance_draw_noise_1e2_failures(self):
         """The 200 acceptance draws at noise 1e-2: at most 11 fits fail, and
         each fails loudly under the diameter gate, never in a solve."""
-        rng = np.random.default_rng(1)
         failures = []
-        for k in range(200):
-            p = draw_notch_params(rng)
-            sweep = circlefit.synthesize_notch(
-                **p, frequencies=circlefit.default_frequencies(p["fr"], p["Ql"]),
-                noise_sigma=1e-2, seed=1000 + k)
+        for sweep in noisy_draws(200, noise=1e-2):
             try:
                 circlefit.fit_resonance(sweep)
             except FitError as exc:
@@ -352,9 +384,9 @@ class TestFitResonance:
 
     def test_refinement_is_well_conditioned(self, monkeypatch):
         # one solve over (fr, Ql, tau) per fit; cond(J^T J) of the
-        # column-scaled seven-parameter Jacobian that gives the covariance,
-        # which no choice of parameter units changes, is ~20 at the
-        # optimum, and ~1e9 without the alpha_c centring
+        # column-scaled seven-parameter Jacobian, which no choice of
+        # parameter units changes, is ~14 at the optimum, and ~1e9 without
+        # the alpha_c centring
         starts = []
         solve = circlefit.solve
 
@@ -363,21 +395,86 @@ class TestFitResonance:
             return solve(fun, jac, x0, *args, **kwargs)
 
         monkeypatch.setattr(circlefit, "solve", recording_solve)
-        rng = np.random.default_rng(1)
-        for k in range(20):
-            p = draw_notch_params(rng)
-            sweep = circlefit.synthesize_notch(
-                **p, frequencies=circlefit.default_frequencies(p["fr"], p["Ql"]),
-                noise_sigma=1e-3, seed=1000 + k)
+        for k, sweep in enumerate(noisy_draws(20)):
             fit = circlefit.fit_resonance(sweep)
             assert len(starts) == k + 1 and starts[-1].size == 3, k
             f = sweep.frequency_hz
             fc = 0.5 * (f[0] + f[-1])
-            jac = circlefit._centred_jac(f, fc, [
-                fit.fr, fit.Ql, fit.Qc_mag, fit.phi, fit.a,
-                fit.alpha - 2 * np.pi * fc * fit.tau, fit.tau])
+            jac = centred_jac(f, fc, centred_parameters(fit, fc))
             s = np.linalg.svd(jac / np.linalg.norm(jac, axis=0), compute_uv=False)
             assert (s[0] / s[-1]) ** 2 < 1e3, k
+
+    def test_covariance_matches_seven_column_svd(self, monkeypatch):
+        # the covariance from the projected solve's SVD and the Schur
+        # complement against s^2 (J^T J)^+ of the column-scaled seven-
+        # parameter Jacobian at the fitted point, s^2 = |r|^2/(2n - 7),
+        # each entry within 1e-9 of sigma_i*sigma_j (4.3e-11 at most here)
+        covs = []
+        covariance = circlefit._covariance
+
+        def recording_covariance(*args):
+            covs.append(covariance(*args))
+            return covs[-1]
+
+        monkeypatch.setattr(circlefit, "_covariance", recording_covariance)
+        for k, sweep in enumerate(noisy_draws(10)):
+            fit = circlefit.fit_resonance(sweep)
+            f = sweep.frequency_hz
+            fc = 0.5 * (f[0] + f[-1])
+            jac = centred_jac(f, fc, centred_parameters(fit, fc))
+            scale = np.linalg.norm(jac, axis=0)
+            _, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+            vt = vt / scale
+            r = sweep.s21 - circlefit.notch_model(f, fit.fr, fit.Ql, fit.Qc_mag, fit.phi,
+                                                  fit.a, fit.alpha, fit.tau)
+            s2 = np.vdot(r, r).real / (2 * f.size - 7)
+            # alpha_c, the phase at f = fc, to alpha = alpha_c + 2*pi*fc*tau
+            t = np.eye(7)
+            t[5, 6] = 2 * np.pi * fc
+            expected = t @ (vt.T / s ** 2) @ vt @ t.T * s2
+            sigma = np.sqrt(np.diag(expected))
+            assert len(covs) == k + 1
+            assert np.all(np.abs(covs[-1] - expected) <= 1e-9 * np.outer(sigma, sigma)), k
+
+    def test_linear_step_runs_once_per_evaluation(self, monkeypatch):
+        # the residuals, the Jacobian and the final c0, c1 of one point
+        # share one linear step
+        counts = {"steps": 0, "nfev": 0}
+        linear_step, solve = circlefit._linear_step, circlefit.solve
+
+        def counting_step(*args):
+            counts["steps"] += 1
+            return linear_step(*args)
+
+        def counting_solve(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            counts["nfev"] += res.nfev
+            return res
+
+        monkeypatch.setattr(circlefit, "_linear_step", counting_step)
+        monkeypatch.setattr(circlefit, "solve", counting_solve)
+        for k, sweep in enumerate(noisy_draws(10)):
+            before = dict(counts)
+            circlefit.fit_resonance(sweep)
+            assert counts["nfev"] > before["nfev"], k
+            assert counts["steps"] - before["steps"] == counts["nfev"] - before["nfev"], k
+
+    def test_noisy_draws_evaluation_count(self, monkeypatch):
+        # 298 evaluations over these 40 fits with solve's per-component
+        # relative xtol test; the scaled-norm test can only stop sooner
+        nfev = []
+        solve = circlefit.solve
+
+        def recording_solve(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(circlefit, "solve", recording_solve)
+        for sweep in noisy_draws(40):
+            circlefit.fit_resonance(sweep)
+        assert len(nfev) == 40
+        assert sum(nfev) <= 298, sum(nfev)
 
     @pytest.mark.parametrize("alpha", [np.pi - 1e-9, np.pi, -np.pi + 1e-9],
                              ids=["below_pi", "pi", "above_minus_pi"])
@@ -397,7 +494,8 @@ class TestFitResonance:
         s = make_sweep(**truth)
         f = s.frequency_hz
         fc = 0.5 * (f[0] + f[-1])
-        c0, c1 = circlefit._linear_step(f, s.s21, fc, (6e9 - f[0], 5e4, 30e-9))[:2]
+        c0, c1 = circlefit._linear_step(f, f - f[0], 2j * np.pi * (f - fc), s.s21,
+                                        (6e9 - f[0], 5e4, 30e-9))[:2]
         qc, phi, a, alpha_c = circlefit._linear_parameters(5e4, c0, c1)
         alpha = alpha_c + 2 * np.pi * fc * 30e-9
         assert a == pytest.approx(truth["a"], rel=1e-12, abs=0.0)

@@ -1092,3 +1092,17 @@ def test_command_loads_no_scipy(command_inputs, tmp_path, argv):
             "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = fresh_python(code, *argv, "--out", tmp_path, cwd=command_inputs)
     assert out.splitlines()[-1].split() == ["0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "feedline.dat", "--windows", "scan_report.json"),
+    ("power", *(f"power_{k:02d}.dat" for k in range(12))), ("xrd", "xrd.dat"),
+    ("rrr", "rt.dat"),
+], ids=["fit_windows", "power", "xrd", "rrr"])
+def test_command_loads_no_numpy_ma(command_inputs, tmp_path, argv):
+    """The fit commands leave numpy.ma unloaded: their medians come from
+    stats.median, as np.median imports numpy.ma."""
+    code = ("import sys; from cpwloss import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    out = fresh_python(code, *argv, "--out", tmp_path, cwd=command_inputs)
+    assert out.splitlines()[-1].split() == ["0", "False"]

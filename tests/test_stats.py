@@ -198,3 +198,21 @@ def test_group_by_process():
 def test_group_by_process_empty():
     g = stats.group_by_process([])
     assert g.by_key == {} and g.by_etch == {} and g.by_strip == {} and g.by_depo == {}
+
+
+@pytest.mark.parametrize("values", [
+    [3.0], [2.0, -1.0], [5.0, 1.0, 4.0], [0.1, 0.7, 0.3, 0.2],
+    [1.0, 1.0, 1.0, 2.0], [2.0, 2.0, 1.0, 1.0, 2.0], [1e300, 1.7e308, -1e300, 1.7e308],
+    [0.1, 0.2, float("nan"), 0.3],
+], ids=["one", "two", "odd", "even", "even_ties", "odd_ties", "even_huge", "nan"])
+def test_median_is_numpy_median(values):
+    expected = np.median(values)
+    got = stats.median(values)
+    assert type(got) is float
+    assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=40))
+def test_median_is_numpy_median_on_any_sample(values):
+    assert stats.median(values) == np.median(values)
