@@ -221,7 +221,7 @@ class ResonanceFit:
     n_points: int = 0
 
 
-# One projected solve took at most 79 evaluations over the acceptance
+# One projected solve took at most 36 evaluations over the acceptance
 # draw and the 1,400-fit stress set (noise to 5e-2); a solve still going
 # at 200 is on a sweep it cannot fit, and stops at the cost of a few fits.
 MAX_NFEV = 200
@@ -280,8 +280,7 @@ def fit_resonance(sweep):
     # fr enters as fr - f[0], whose double resolves the optimum below one
     # ulp of fr, so c0 and c1 belong to the optimum and not to the double
     # nearest fr
-    res = solve(residuals, jac, np.array([fr0 - f[0], ql0, tau0]),
-                xtol=1e-15, ftol=1e-10, max_nfev=MAX_NFEV)
+    res = solve(residuals, jac, np.array([fr0 - f[0], ql0, tau0]), max_nfev=MAX_NFEV)
     if res.status == 0:
         raise FitError(f"resonance fit (limit {MAX_NFEV} function evaluations) "
                        f"did not converge: {res.message}")

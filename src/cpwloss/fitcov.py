@@ -1,28 +1,26 @@
 """The least-squares kernel of the nonlinear fits and their covariance.
 
-solve() is Moré's Levenberg-Marquardt method (J. J. Moré, "The
-Levenberg-Marquardt algorithm: implementation and theory", Lecture
-Notes in Math. 630, 105 (1978)), as MINPACK's lmder implements it: a
-trust region on the step scaled by the Jacobian's column norms, whose
-damping parameter solves Moré's secular equation. Each step comes from
-the SVD of the column-scaled Jacobian, never from J^T J, so every
-damping trial at one point reuses one factorisation and a Jacobian of
-condition 1e10 loses no digits to squaring. Box bounds clip each trial
-point; a variable on a bound whose gradient points out of the box is
-held fixed until it turns inward. Callers pass parameters in the
-model's own units: the column scaling makes the steps, the stopping
-tests and the covariance independent of those units.
+solve() takes Gauss-Newton steps -V S^-1 U^T r from the SVD U S V^T of
+the Jacobian scaled by its column norms, never from J^T J, so a
+Jacobian of condition 1e10 loses no digits to squaring. Each step is
+halved until it lowers |r|^2 by a fraction of the gain the linear model
+predicts for it, a backtracking line search (Nocedal and Wright,
+Numerical Optimization, 2nd ed. (2006), ch. 3 and 10): the fits start
+near their optimum and are well conditioned, so the full step is
+nearly always taken and no trust region is needed. Box bounds clip
+each trial point; a variable on a bound whose gradient points out of
+the box is held fixed until it turns inward. Callers pass parameters
+in the model's own units: the column scaling makes the steps, the
+stopping tests and the covariance independent of those units.
 
 Near the optimum the change of the sum of squares is round-off, so a
-damped step is accepted or refused at random and the damped phase
-stops ~1e-9 short, at a point set by its path. Once the Gauss-Newton
-step from x is predicted to gain at most ftol, the solve therefore
-finishes with undamped Gauss-Newton steps -V S^-1 U^T r and no cost
-test (Nocedal and Wright, Numerical Optimization, 2nd ed. (2006),
-ch. 10). They converge to the optimum at round-off, so the result no
-longer depends on how the damped phase got there. covariance() reads
-s^2 (J^T J)^+ from the SVD at the final point; a separable fit maps it
-to its linear parameters without a second factorisation (circlefit).
+cost test accepts or refuses a step at random. Once the Gauss-Newton
+step from x is predicted to gain at most FTOL, the solve therefore
+finishes with Gauss-Newton steps and no cost test. They converge to
+the optimum at round-off, so the result no longer depends on the path
+that got there. covariance() reads s^2 (J^T J)^+ from the SVD at the
+final point; a separable fit maps it to its linear parameters without
+a second factorisation (circlefit).
 """
 
 from dataclasses import dataclass
@@ -32,10 +30,14 @@ import numpy as np
 from .errors import FitError
 
 EPS = np.finfo(float).eps
+# Convergence tolerances of every fit: XTOL on the scaled step length
+# relative to the scaled x, FTOL on the predicted relative gain of |r|^2.
+XTOL = 1e-15
+FTOL = 1e-10
 # A cap on the finishing Gauss-Newton steps; they stop sooner, once a
 # step no longer halves. On the 200 acceptance draws the resonance fit
-# takes at most 4 at noise 1e-3, and 5 fits of 189 reach the cap at
-# noise 1e-2.
+# takes at most 4 at noise 1e-3, where no fit reaches the cap, and 4
+# fits of 189 reach it at noise 1e-2.
 FINISH_STEPS = 8
 
 
@@ -68,7 +70,7 @@ class Solution:
 
     fun and jac are the residuals and Jacobian at x, cost = |fun|^2/2.
     status is 0 when max_nfev stopped the solve, 2 when it converged on
-    ftol and 3 when it converged on xtol. s and vt are the kept singular
+    FTOL and 3 when it converged on XTOL. s and vt are the kept singular
     values and right singular vectors of jac/scale, None at status 0.
     """
 
@@ -87,7 +89,7 @@ class Solution:
 
 MESSAGES = {
     0: "the maximum number of function evaluations was reached",
-    2: "ftol: the predicted or actual relative gain fell to ftol",
+    2: "ftol: the predicted relative gain fell to ftol",
     3: "xtol: the step fell to xtol",
 }
 
@@ -104,49 +106,22 @@ def _factor(jac, r, scale, free):
     return (r @ u)[keep], s[keep], vt[keep]
 
 
-def _damped(s, g, delta, lam):
-    """Rotated step c (scaled step -V c) with |c| within 10 % of delta, and
-    its damping lam, or the Gauss-Newton step with lam = 0 when that is
-    no longer than 1.1*delta. Newton's method on 1/|c(lam)| - 1/delta,
-    safeguarded by bounds on lam (Moré 1978, section 5)."""
-    gn = g / s
-    gn_norm = _norm(gn)
-    if gn_norm <= 1.1 * delta:
-        return gn, 0.0
-    sg = s * g
-    lo = (gn_norm - delta) * gn_norm / np.sum(gn ** 2 / s ** 2)
-    hi = _norm(sg) / delta
-    for _ in range(10):
-        if not lo <= lam <= hi:
-            lam = max(1e-3 * hi, np.sqrt(lo * hi))
-        den = s ** 2 + lam
-        c = sg / den
-        c_norm = _norm(c)
-        phi = c_norm - delta
-        if abs(phi) <= 0.1 * delta:
-            break
-        dphi = -np.sum(c ** 2 / den) / c_norm
-        if phi < 0:
-            hi = lam
-        lo = max(lo, lam - phi / dphi)
-        lam -= (c_norm / delta) * phi / dphi
-    return c, lam
-
-
-def solve(fun, jac, x0, lower=-np.inf, upper=np.inf, *, xtol, ftol, max_nfev):
+def solve(fun, jac, x0, lower=-np.inf, upper=np.inf, *, max_nfev):
     """Minimise |fun(x)|^2 over lower <= x <= upper; returns a Solution.
 
-    jac(x) is the Jacobian of fun. The damped phase is MINPACK's lmder:
-    scale is the running maximum of J's column norms and the first step
-    bound 100*|scale*x0|. It has converged when the Gauss-Newton step
-    from x is predicted to lower |fun|^2 by at most ftol relative or
-    is at most xtol*|scale*x| long in scaled terms, or, as in lmder,
-    when a damped step gains at most ftol or the step bound falls to
-    xtol*|scale*x| (status 2 for ftol, 3 for xtol). The finishing
-    Gauss-Newton steps then run until one is at most xtol*|scale*x|
-    long, is longer than the trust region or than half the step before
-    it, or would leave the box, at most FINISH_STEPS of them. max_nfev
-    counts evaluations of fun before convergence, the first included.
+    jac(x) is the Jacobian of fun, and scale the running maximum of its
+    column norms. At each point the Gauss-Newton step p is tried whole,
+    then halved: t*p is accepted once it lowers |fun|^2 by 1e-4 of its
+    predicted gain (2t - t^2)|U^T r|^2. x has converged when p is
+    predicted to lower |fun|^2 by at most FTOL relative (status 2) or is
+    at most XTOL*|scale*x| long in scaled terms (status 3). The
+    finishing Gauss-Newton steps then run until one is at most
+    XTOL*|scale*x| long, is longer than the last accepted step or than
+    half the step before it, or would leave the box, at most
+    FINISH_STEPS of them. When halving shrinks t*p to XTOL*|scale*x|
+    instead, no step along p lowers |fun|^2: the solve ends at x with
+    status 3. max_nfev counts evaluations of fun before convergence,
+    the first and those of the halvings included.
     """
     x = np.asarray(x0, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
@@ -157,26 +132,24 @@ def solve(fun, jac, x0, lower=-np.inf, upper=np.inf, *, xtol, ftol, max_nfev):
     jx = jac(x)
     nfev = njev = 1
     scale = np.zeros(x.size)
-    free = np.ones(x.size, dtype=bool)
-    delta = None
-    lam = 0.0
+    bound = np.inf
     status = None
     finishing = 0
     while True:
         scale = np.maximum(scale, np.sqrt(np.einsum("ij,ij->j", jx, jx)))
         scale[scale == 0.0] = 1.0
-        if delta is None:
-            delta = 100.0 * (_norm(scale * x) or 1.0)
         grad = r @ jx
         free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))
         g, s, vt = _factor(jx, r, scale, free)
-        # x has converged once the Gauss-Newton step from it is predicted
-        # to gain at most ftol, or its scaled length is at most xtol times
-        # that of x, MINPACK's test, which a component near 0 cannot block
+        # the Gauss-Newton step; its scaled length against that of x is
+        # MINPACK's xtol test, which a component near 0 cannot block
         step = -(vt.T @ (g / s)) * free / scale
-        at_xtol = _norm(scale * step) <= xtol * _norm(scale * x)
+        pnorm = _norm(scale * step)
+        xnorm = _norm(scale * x)
+        at_xtol = pnorm <= XTOL * xnorm
+        gain = g @ g
         if status is None:
-            if g @ g <= ftol * f2:
+            if gain <= FTOL * f2:
                 status = 2
             elif at_xtol:
                 status = 3
@@ -184,12 +157,12 @@ def solve(fun, jac, x0, lower=-np.inf, upper=np.inf, *, xtol, ftol, max_nfev):
                 status = 0
         if status is not None:
             # finishing: the Gauss-Newton step, taken without a cost test
-            # while it stays in the trust region and is at most half as
-            # long as the finishing step before it, so the steps converge
-            pnorm = _norm(scale * step)
+            # while it is no longer than the last accepted step and at
+            # most half as long as the finishing step before it, so the
+            # steps converge
             trial = x + step
             if (status == 0 or at_xtol or finishing == FINISH_STEPS
-                    or pnorm > delta or np.any(trial < lower) or np.any(trial > upper)):
+                    or pnorm > bound or np.any(trial < lower) or np.any(trial > upper)):
                 break
             r_new = fun(trial)
             nfev += 1
@@ -199,50 +172,30 @@ def solve(fun, jac, x0, lower=-np.inf, upper=np.inf, *, xtol, ftol, max_nfev):
             jx = jac(x)
             njev += 1
             finishing += 1
-            delta = 0.5 * pnorm
+            bound = 0.5 * pnorm
             continue
-        while status is None:
-            c, lam = _damped(s, g, delta, lam)
-            step = -(vt.T @ c) * free / scale
-            # the step actually taken, so the predicted gain below is
-            # that of the point evaluated
-            trial = np.clip(x + step, lower, upper)
-            step = trial - x
-            pnorm = _norm(scale * step)
-            if njev == 1:
-                delta = min(delta, pnorm)
-            # U^T J step, and from it the predicted and the directional
-            # relative change of |r|^2
-            w = s * (vt @ (scale * step))
-            prered = -(w @ (2.0 * g + w)) / f2
-            dirder = (g @ w) / f2
+        t = 1.0
+        while True:
+            trial = np.clip(x + t * step, lower, upper)
             r_new = fun(trial)
             nfev += 1
             f2_new = r_new @ r_new
-            actred = 1.0 - f2_new / f2 if f2_new < 100.0 * f2 else -1.0
-            ratio = actred / prered if prered > 0 else 0.0
-            if ratio <= 0.25:
-                shrink = 0.5 if actred >= 0 else 0.5 * dirder / (dirder + 0.5 * actred)
-                if not f2_new < 100.0 * f2 or not shrink >= 0.1:
-                    shrink = 0.1
-                delta = shrink * min(delta, 10.0 * pnorm)
-                lam /= shrink
-            elif lam == 0.0 or ratio >= 0.75:
-                delta = 2.0 * pnorm
-                lam *= 0.5
-            accepted = ratio >= 1e-4
-            if accepted:
-                x, r, f2 = trial, r_new, f2_new
-                jx = jac(x)
-                njev += 1
-            if abs(actred) <= ftol and prered <= ftol:
-                status = 2
-            elif delta <= xtol * _norm(scale * x):
+            # a NaN or infinite |r|^2 fails this test and halves the step
+            if f2 - f2_new >= 1e-4 * (2.0 * t - t * t) * gain:
+                break
+            t *= 0.5
+            if t * pnorm <= XTOL * xnorm:
                 status = 3
             elif nfev >= max_nfev:
                 status = 0
-            if accepted:
+            if status is not None:
                 break
+        if status is not None:
+            break
+        bound = _norm(scale * (trial - x))
+        x, r, f2 = trial, r_new, f2_new
+        jx = jac(x)
+        njev += 1
 
     if status == 0:
         s = vt = None

@@ -24,6 +24,17 @@ def median(values):
     return np.nan if np.isnan(part[-1]) else float(mid)
 
 
+def _quantile(ordered, q):
+    """np.quantile(a, q) to the bit, read off the sorted sample: linear
+    interpolation at position q*(n-1), without the numpy.ma import that
+    np.quantile makes."""
+    pos = (ordered.size - 1) * q
+    i = int(pos)
+    lo, hi = ordered[i], ordered[min(i + 1, ordered.size - 1)]
+    t = pos - i
+    return hi - (hi - lo) * (1.0 - t) if t >= 0.5 else lo + (hi - lo) * t
+
+
 @dataclass(frozen=True)
 class BoxSummary:
     n: int
@@ -51,14 +62,15 @@ def box_summary(values):
     if not np.all(np.isfinite(arr)):
         raise DataError("box_summary: values must be finite")
 
-    q1, med, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
+    ordered = np.sort(arr)
+    q1, med, q3 = (_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
     inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
     # quartiles are interpolated between data points, so they always sit
     # inside the fences and `inside` cannot be empty
-    outliers = np.sort(arr[(arr < lo_fence) | (arr > hi_fence)])
+    outliers = ordered[(ordered < lo_fence) | (ordered > hi_fence)]
     return BoxSummary(
         n=int(arr.size),
         median=float(med),

@@ -273,10 +273,13 @@ def synthesize_rt(tc=4.7, width=0.2, r_normal=25.0, rrr=4.0,
         raise DataError("width, r_normal, and rrr must be positive")
     if noise_sigma < 0:
         raise DataError("noise_sigma must be >= 0")
-    t = np.unique(np.concatenate([
+    # the sorted grid without repeats, as np.unique gives it but without
+    # the numpy.ma import that np.unique makes
+    t = np.sort(np.concatenate([
         np.linspace(t_min, tc + 3.0, 561),
         np.linspace(tc + 3.0, 300.0, 240),
     ]))
+    t = t[np.concatenate([[True], t[1:] != t[:-1]])]
     w_s = width / (2.0 * np.log(9.0))
     r_norm_branch = r_normal * (1.0 + (rrr - 1.0)
                                 * (np.clip(t - tc, 0.0, None) / (300.0 - tc)) ** 3)

@@ -1097,11 +1097,13 @@ def test_command_loads_no_scipy(command_inputs, tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ("fit", "feedline.dat", "--windows", "scan_report.json"),
     ("power", *(f"power_{k:02d}.dat" for k in range(12))), ("xrd", "xrd.dat"),
-    ("rrr", "rt.dat"),
-], ids=["fit_windows", "power", "xrd", "rrr"])
+    ("rrr", "rt.dat"), ("report", "tls"), ("synth", "rt"),
+], ids=["fit_windows", "power", "xrd", "rrr", "report", "synth_rt"])
 def test_command_loads_no_numpy_ma(command_inputs, tmp_path, argv):
-    """The fit commands leave numpy.ma unloaded: their medians come from
-    stats.median, as np.median imports numpy.ma."""
+    """These commands leave numpy.ma unloaded: their medians come from
+    stats.median and their quartiles from stats._quantile, as np.median
+    and np.quantile import numpy.ma, and synth rt's grid is sorted
+    without np.unique, which imports it too."""
     code = ("import sys; from cpwloss import cli; rc = cli.main(sys.argv[1:]); "
             "print(rc, 'numpy.ma' in sys.modules)")
     out = fresh_python(code, *argv, "--out", tmp_path, cwd=command_inputs)

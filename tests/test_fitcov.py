@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from cpwloss import circlefit
 from cpwloss.errors import FitError
 from cpwloss.fitcov import covariance, solve
+from test_circlefit import noisy_draws
 
 
 def linear_problem(m=40, seed=0):
@@ -17,8 +19,7 @@ def linear_problem(m=40, seed=0):
 
 def solve_linear(design, y, x0=None, **bounds):
     x0 = np.zeros(design.shape[1]) if x0 is None else x0
-    return solve(lambda p: design @ p - y, lambda p: design, x0, **bounds,
-                 xtol=1e-15, ftol=1e-10, max_nfev=100)
+    return solve(lambda p: design @ p - y, lambda p: design, x0, **bounds, max_nfev=100)
 
 
 def test_linear_model_matches_closed_form():
@@ -103,12 +104,70 @@ def test_unconverged_solve_names_the_fit():
     def jac(p):
         return design * np.exp(design @ p)[:, None]
 
-    res = solve(fun, jac, np.ones(3), xtol=1e-15, ftol=1e-10, max_nfev=2)
+    res = solve(fun, jac, np.ones(3), max_nfev=2)
     assert res.status == 0
     assert res.nfev == 2
     with pytest.raises(FitError, match="^demo stage did not converge: the maximum "
                                        "number of function evaluations was reached$"):
         covariance(res, "demo stage")
+
+
+def test_overshooting_step_is_halved():
+    # r = (atan x, 0.1) from x = 2: the full Gauss-Newton step lands at
+    # x = -3.5, where |atan x| is larger; halving it converges to x = 0
+    costs = []
+
+    def fun(p):
+        r = np.array([np.arctan(p[0]), 0.1])
+        costs.append(r @ r)
+        return r
+
+    def jac(p):
+        return np.array([[1.0 / (1.0 + p[0] ** 2)], [0.0]])
+
+    res = solve(fun, jac, np.array([2.0]), max_nfev=50)
+    assert costs[1] > costs[0] > costs[2]
+    assert res.status == 2
+    assert res.nfev > res.njev
+    assert abs(res.x[0]) <= 1e-12
+
+
+def ascent_solve(max_nfev):
+    # the Jacobian's sign is flipped, so every step along its Gauss-Newton
+    # direction raises |r|^2
+    design, y = linear_problem()
+    return solve(lambda p: design @ p - y, lambda p: -design,
+                 np.array([5.0, -3.0, 2.0]), max_nfev=max_nfev)
+
+
+def test_no_descent_ends_on_xtol():
+    # halving from t = 1 to the xtol length takes ~50 evaluations
+    res = ascent_solve(max_nfev=200)
+    assert res.status == 3
+    assert res.nfev < 200 and res.njev == 1
+    assert np.all(res.x == [5.0, -3.0, 2.0])
+
+
+def test_max_nfev_counts_the_halvings():
+    res = ascent_solve(max_nfev=10)
+    assert (res.status, res.nfev, res.njev) == (0, 10, 1)
+
+
+def test_acceptance_draws_evaluation_budget(monkeypatch):
+    # the 200 acceptance draws at noise 1e-3 took 1,416 evaluations with
+    # the trust-region solve; the line search may not take more
+    nfev = []
+
+    def recording_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(circlefit, "solve", recording_solve)
+    for sweep in noisy_draws(200):
+        circlefit.fit_resonance(sweep)
+    assert len(nfev) == 200
+    assert sum(nfev) <= 1416, sum(nfev)
 
 
 def test_no_degrees_of_freedom_gives_zero():
@@ -138,9 +197,9 @@ def test_solve_does_not_depend_on_parameter_units(c):
         return np.column_stack([e, p[0] * e * t / p[1] ** 2, np.ones_like(t)])
 
     c = np.array(c)
-    ref = solve(fun, jac, x0, lower, upper, xtol=1e-15, ftol=1e-10, max_nfev=200)
+    ref = solve(fun, jac, x0, lower, upper, max_nfev=200)
     res = solve(lambda q: fun(q * c), lambda q: jac(q * c) * c, x0 / c, lower / c,
-                upper, xtol=1e-15, ftol=1e-10, max_nfev=200)
+                upper, max_nfev=200)
     assert ref.status > 0 and ref.x[2] == 0.05
     assert (res.status, res.nfev, res.njev) == (ref.status, ref.nfev, ref.njev)
     assert res.x * c == pytest.approx(ref.x, rel=1e-12, abs=0.0)

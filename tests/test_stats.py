@@ -216,3 +216,11 @@ def test_median_is_numpy_median(values):
 @given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=40))
 def test_median_is_numpy_median_on_any_sample(values):
     assert stats.median(values) == np.median(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=40))
+def test_box_quartiles_are_numpy_quantiles_on_any_sample(values):
+    box = stats.box_summary(values)
+    expected = np.quantile(values, [0.25, 0.5, 0.75])
+    assert (box.q1, box.median, box.q3) == tuple(expected)

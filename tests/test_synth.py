@@ -87,3 +87,13 @@ def test_feedline_bytes_match_one_environment_per_resonator(seed):
     rng = np.random.default_rng(seed)
     z = z + 5e-4 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
     assert sweep.s21.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("tc, t_min", [(4.7, 2.0), (2.5, 0.3), (15.3, 1.1)])
+def test_rt_grid_is_numpy_unique(tc, t_min):
+    # the two segments share tc + 3 K, which the grid holds once
+    expected = np.unique(np.concatenate([np.linspace(t_min, tc + 3.0, 561),
+                                         np.linspace(tc + 3.0, 300.0, 240)]))
+    t = synth.synthesize_rt(tc=tc, t_min=t_min)[0].temperature_k
+    assert t.size == 800
+    assert t.tobytes() == expected.tobytes()
