@@ -40,8 +40,17 @@ def notch_model(f, fr, Ql, Qc_mag, phi, a=1.0, alpha=0.0, tau=0.0):
 
 
 def _dip(f, fr, Ql, Qc_mag, phi):
-    """The resonant term of notch_model, 1 - S21/env."""
-    return (Ql / Qc_mag) * np.exp(1j * phi) / (1.0 + 2j * Ql * (f - fr) / fr)
+    """The resonant term of notch_model, 1 - S21/env, for an array f.
+
+    It is built in the one complex array this call returns, so the real
+    f - fr is the only other temporary. The explicit ufunc calls keep the
+    operand order of (Ql/|Qc|)*e^{i*phi} / (1 + 2i*Ql*(f - fr)/fr), which
+    numpy's temporary elision could swap on arrays over 256 KiB.
+    """
+    d = np.multiply(2j * Ql, f - fr)
+    d /= fr
+    np.add(1.0, d, out=d)
+    return np.divide((Ql / Qc_mag) * np.exp(1j * phi), d, out=d)
 
 
 def check_internal_loss(what, Ql, Qc_mag, phi):

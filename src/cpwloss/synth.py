@@ -194,9 +194,12 @@ def synthesize_feedline(resonators=None, npoints=72001, a=1.0, alpha=0.3,
 
     The trace is the product of the bare notch dips 1 - _dip(...), each
     without an environment, multiplied once by the shared environment
-    a*exp(i*(alpha - 2*pi*f*tau)) (Probst et al. 2015). A resonator
-    whose internal loss 1/Ql - cos(phi)/|Qc| is not positive raises
-    DataError. Returns (sweep, truth).
+    a*exp(i*(alpha - 2*pi*f*tau)) (Probst et al. 2015). Each dip takes
+    one complex buffer: _dip's result becomes 1 - _dip in place and is
+    multiplied into the trace, and the explicit ufunc calls fix the
+    operand order, the trace on the left. A resonator whose internal
+    loss 1/Ql - cos(phi)/|Qc| is not positive raises DataError. Returns
+    (sweep, truth).
     """
     if resonators is None:
         resonators = default_feedline_resonators()
@@ -219,8 +222,11 @@ def synthesize_feedline(resonators=None, npoints=72001, a=1.0, alpha=0.3,
     z = np.ones_like(f, dtype=complex)
     for r in resonators:
         # in place, so z stays the left operand: a complex product can
-        # differ in the last bit when its operands swap
-        z *= 1.0 - _dip(f, r["fr"], r["Ql"], r["Qc_mag"], r["phi"])
+        # differ in the last bit when its operands swap; d is dropped
+        # before the next _dip allocates, so one dip buffer is alive
+        d = _dip(f, r["fr"], r["Ql"], r["Qc_mag"], r["phi"])
+        z *= np.subtract(1.0, d, out=d)
+        del d
     z = z * a * np.exp(1j * (alpha - 2.0 * np.pi * f * tau))
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Notch resonance fitting: the model, the circle-fit gate, the delay start and
 the variable-projection fit."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -87,6 +88,39 @@ class TestNotchModel:
         expected = (ql / qc) / (1.0 + 2j * ql * x)
         dip = 1.0 - circlefit.notch_model(f, fr, ql, qc, 0.0)
         np.testing.assert_allclose(dip, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("npoints", [1001, 100001])
+    def test_bytes_match_one_line_dip(self, npoints):
+        # the dip term as one expression; the explicit ufunc calls of
+        # _dip must keep its operand order, also above numpy's 256 KiB
+        # temporary-elision threshold (100,001 complex points is 1.6 MB)
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            p = draw_notch_params(rng)
+            fr, ql, qc, phi = p["fr"], p["Ql"], p["Qc_mag"], p["phi"]
+            a, alpha, tau = p["a"], p["alpha"], p["tau"]
+            f = circlefit.default_frequencies(fr, ql, npoints=npoints)
+            env = a * np.exp(1j * alpha) * np.exp(-1j * circlefit.TWO_PI * f * tau)
+            expected = env * (1.0 - (ql / qc) * np.exp(1j * phi)
+                              / (1.0 + 2j * ql * (f - fr) / fr))
+            z = circlefit.notch_model(f, fr, ql, qc, phi, a, alpha, tau)
+            assert z.tobytes() == expected.tobytes()
+
+    def test_dip_allocates_one_complex_buffer(self):
+        # the returned complex array and the real f - fr: 1.5 x 16 bytes
+        # per point; every full-size complex temporary adds another 1.0
+        f = circlefit.default_frequencies(6e9, 2e4, npoints=100001)
+        circlefit._dip(f, 6e9, 2e4, 4e4, 0.05)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            d = circlefit._dip(f, 6e9, 2e4, 4e4, 0.05)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert d.dtype == complex and d.shape == f.shape
+        assert peak < 1.75 * 16 * f.size
 
 
 class TestJacobians:

@@ -66,15 +66,33 @@ def test_logistic_within_one_ulp_of_expit():
     assert np.all(ours <= np.nextafter(theirs, np.inf))
 
 
-@pytest.mark.parametrize("seed", [0, 42])
-def test_feedline_bytes_match_one_environment_per_resonator(seed):
+def wideband_comb(seed, n_res=40):
+    """A comb drawn like the benchmark's wideband feedline: dips 200 MHz
+    apart from 4 GHz, Ql log-uniform in 1.5e4-4e4, Ql/|Qc| in 0.4-0.9
+    and |phi| <= 0.1."""
+    rng = np.random.default_rng(seed)
+    comb = []
+    for k in range(n_res):
+        ql = 10 ** rng.uniform(np.log10(1.5e4), np.log10(4e4))
+        comb.append({"fr": 4.0e9 + k * 200e6, "Ql": ql,
+                     "Qc_mag": ql / rng.uniform(0.4, 0.9),
+                     "phi": rng.uniform(-0.1, 0.1), "resonator_id": f"R{k}"})
+    return comb
+
+
+@pytest.mark.parametrize("seed, comb, npoints", [
+    pytest.param(0, None, 20001, id="0"),
+    pytest.param(42, None, 20001, id="42"),
+    pytest.param(3, wideband_comb(3), 100001, id="wideband_comb"),
+])
+def test_feedline_bytes_match_one_environment_per_resonator(seed, comb, npoints):
     # the trace as it was built before the bare dips: each factor a full
     # notch_model with a unit environment, z on the left of every product.
     # 20001 points (320 kB) is above numpy's 256 KiB temporary-elision
     # threshold, where `z * (1.0 - _dip(...))` can reuse the temporary with
     # its operands swapped; complex products are not bitwise commutative
-    resonators = synth.default_feedline_resonators()
-    sweep, _ = synth.synthesize_feedline(resonators, npoints=20001,
+    resonators = comb or synth.default_feedline_resonators()
+    sweep, _ = synth.synthesize_feedline(resonators, npoints=npoints,
                                          noise_sigma=5e-4, seed=seed)
     f = sweep.frequency_hz
     a, alpha, tau = 1.0, 0.3, 40e-9
