@@ -2,7 +2,7 @@
 
 Modules:
     dataio      file formats, domain types, reports
-    circlefit   notch S21 resonance fitting (delay, circle, phase, refine)
+    circlefit   notch S21 resonance fitting (one variable-projection solve)
     tlsloss     photon-number conversion and TLS saturation fits
     lossbudget  interface participation ratios and loss decomposition
     filmchar    XRD peaks, sheet resistance, Tc / RRR

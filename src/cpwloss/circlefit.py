@@ -14,9 +14,10 @@ variable-projection solve (Golub and Pereyra, SIAM J. Numer. Anal. 10,
 coefficients, which a least-squares step gives, so the nonlinear solver
 sees three parameters. The errors of all seven come from that solve's
 final SVD and the Schur complement of the separable problem (Probst et
-al., Rev. Sci. Instrum. 86, 024706 (2015)). The detuning is written
-(f - fr)/fr, which is exact near fr, not f/fr - 1, which loses up to
-log10(2*Ql) digits before the product with 2*Ql.
+al., Rev. Sci. Instrum. 86, 024706 (2015)), and they also decide whether
+the sweep holds a dip: a fit that does not resolve Qi finds none. The
+detuning is written (f - fr)/fr, which is exact near fr, not f/fr - 1,
+which loses up to log10(2*Ql) digits before the product with 2*Ql.
 """
 
 import warnings
@@ -100,41 +101,6 @@ def synthesize_notch(fr, Ql, Qc_mag, phi=0.0, a=1.0, alpha=0.0, tau=0.0,
         z = z + noise_sigma * (rng.standard_normal(z.size)
                                + 1j * rng.standard_normal(z.size))
     return ComplexSweep(frequency_hz=frequencies, s21=z, **sweep_fields)
-
-
-def fit_circle(points):
-    """Algebraic least-squares circle through complex points (Taubin method).
-
-    Returns (center, radius). The Taubin constraint normalizes the
-    algebraic residual by its gradient, which keeps the fit nearly
-    unbiased on partial arcs. Raises FitError on collinear or
-    coincident points.
-    """
-    z = np.asarray(points, dtype=complex).ravel()
-    if z.size < 3:
-        raise DataError(f"circle fit needs >= 3 points, got {z.size}")
-    x = z.real
-    y = z.imag
-    xm = x.mean()
-    ym = y.mean()
-    u = x - xm
-    v = y - ym
-    q = u * u + v * v
-    qm = q.mean()
-    if qm <= 0.0:
-        raise FitError("degenerate points: all coincident")
-    scale = 2.0 * np.sqrt(qm)
-    design = np.column_stack([(q - qm) / scale, u, v])
-    _, svals, vt = np.linalg.svd(design, full_matrices=False)
-    a0, b0, c0 = vt[int(np.argmin(svals))]
-    if abs(a0) < 1e-12:
-        raise FitError("collinear or degenerate points: no finite circle fits")
-    a1 = a0 / scale
-    d1 = -qm * a1
-    cx = -b0 / (2.0 * a1) + xm
-    cy = -c0 / (2.0 * a1) + ym
-    radius = np.sqrt(b0 * b0 + c0 * c0 - 4.0 * a1 * d1) / (2.0 * abs(a1))
-    return complex(cx, cy), float(radius)
 
 
 WING_FRACTION = 0.2
@@ -240,32 +206,30 @@ MAX_NFEV = 200
 # leaves room for noise that point-to-point differences underrate.
 ADEQUACY_LIMIT = 3.0
 
+# A fit finds a dip only if it resolves the dip's Qi: Qi must stand at
+# least 4 sigma_Qi clear of zero. At sigma_Qi/Qi = 0.5 the 2-sigma interval
+# reaches zero and bounds no internal loss; 0.25 asks for twice that, so a
+# Qi passes even where sigma_Qi, a linearised estimate, is low by 2x, and
+# the curvature term linearisation drops, (sigma_Qi/Qi)^2, stays under 7 %.
+RESOLVABILITY_LIMIT = 0.25
+
 
 def fit_resonance(sweep):
     """Fit the notch model to one sweep.
 
     A wing-slope delay and the dip's depth and width give a start for
-    (fr, Ql, tau); after the diameter gate, one variable-projection
-    solve over those three fits the rest as the two linear coefficients
-    of _linear_step, and _covariance maps the solve's own covariance to
-    the errors of all seven. Raises FitError when no dip stands above the
-    noise floor, the solve does not converge, the residual is more than
-    ADEQUACY_LIMIT times the noise floor, or the fit is unphysical.
+    (fr, Ql, tau); one variable-projection solve over those three fits
+    the rest as the two linear coefficients of _linear_step, and
+    _covariance maps the solve's own covariance to the errors of all
+    seven. Raises FitError when the solve does not converge, the residual
+    is more than ADEQUACY_LIMIT times the noise floor, the fit is
+    unphysical, or it finds no dip: sigma_Qi/Qi above RESOLVABILITY_LIMIT.
     """
     f = sweep.frequency_hz
     z = sweep.s21
 
     tau0 = _wing_delay(f, z)
     zc = z * np.exp(1j * TWO_PI * f * tau0)
-
-    noise = _noise_floor(zc)
-    try:
-        _, radius = fit_circle(zc)
-    except FitError as exc:
-        raise FitError(f"no dip found: {exc}") from None
-    if 2.0 * radius < 5.0 * noise:
-        raise FitError(f"no dip found: circle diameter {2 * radius:.3g} is "
-                       f"below the noise floor ({noise:.3g} per quadrature)")
 
     fr0, ql0 = _initial_guesses(f, zc)
     fc = 0.5 * (f[0] + f[-1])
@@ -298,6 +262,7 @@ def fit_resonance(sweep):
     qc_f, phi_f, a_f, alpha_c = _linear_parameters(ql_f, c0, c1)
 
     rms = float(np.sqrt(np.mean(res.fun ** 2)))
+    noise = _noise_floor(zc)
     if rms > ADEQUACY_LIMIT * noise:
         ratio = rms / noise if noise > 0 else np.inf
         raise FitError(f"the notch model does not fit: residual rms {rms:.3g} is "
@@ -315,11 +280,6 @@ def fit_resonance(sweep):
                        f"is outside (-pi/2, pi/2); not a notch-type response")
     qi = 1.0 / inv_qi
 
-    span_lw = (f[-1] - f[0]) * ql_f / fr_f
-    if span_lw < 3.0:
-        warnings.warn(f"sweep spans only {span_lw:.2f} linewidths around the dip; "
-                      f"background calibration may be biased", stacklevel=2)
-
     cov = _covariance(res, f, fc, w, c0, c1, h, hc)
     alpha_f = _wrap_angle(alpha_c + TWO_PI * fc * tau_f)
 
@@ -331,6 +291,14 @@ def fit_resonance(sweep):
     g[2] = -qi ** 2 * np.cos(phi_f) / qc_f ** 2
     g[3] = -qi ** 2 * np.sin(phi_f) / qc_f
     sigma["Qi"] = float(np.sqrt(max(g @ cov @ g, 0.0)))
+    if not sigma["Qi"] <= RESOLVABILITY_LIMIT * qi:
+        raise FitError(f"no dip found: sigma_Qi/Qi = {sigma['Qi'] / qi:.3g} is above "
+                       f"{RESOLVABILITY_LIMIT:g}; the sweep does not resolve Qi")
+
+    span_lw = (f[-1] - f[0]) * ql_f / fr_f
+    if span_lw < 3.0:
+        warnings.warn(f"sweep spans only {span_lw:.2f} linewidths around the dip; "
+                      f"background calibration may be biased", stacklevel=2)
 
     return ResonanceFit(
         fr=float(fr_f), Ql=float(ql_f), Qc_mag=float(qc_f),

@@ -242,15 +242,28 @@ def utf8_text(path, lineno, text):
     return text
 
 
+class Header(dict):
+    """The header of a columnar file: key -> raw string value. It also
+    keeps the file and the line of each key, so that error(key, ...)
+    names the line a bad value came from."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+        self.lines = {}
+
+    def error(self, key, message):
+        return ParseError(self.path, self.lines[key], message)
+
+
 def _scan_header(path, fh):
     """Read the header lines of a columnar file up to its first data line.
 
-    Returns (header, names, lineno, offset): header maps key -> raw
-    string value, names is (line number, column names) or None, and the
-    first data line is line lineno, at the fh.tell() position offset
-    where fh is left.
+    Returns (header, names, lineno, offset): header is a Header, names
+    is (line number, column names) or None, and the first data line is
+    line lineno, at the fh.tell() position offset where fh is left.
     """
-    header, names = {}, None
+    header, names = Header(path), None
     lineno = 0
     while True:
         offset = fh.tell()
@@ -267,9 +280,11 @@ def _scan_header(path, fh):
             key, sep, value = line[1:].partition("=")
             if not sep:
                 raise ParseError(path, lineno, f"malformed header line '{line}'")
-            if not key.strip():
+            key = key.strip()
+            if not key:
                 raise ParseError(path, lineno, "empty header key")
-            header[key.strip()] = value.strip()
+            header[key] = value.strip()
+            header.lines[key] = lineno
             continue
         tokens = line.split()
         if names is not None or _looks_numeric(tokens[0]):
@@ -326,24 +341,21 @@ def read_columns(path, *layouts):
     """Read a columnar file of finite numbers: (header, columns, first),
     first being the line number of the first data line.
 
-    Each layout is a tuple of column names, or a function of the header
-    that returns one. A names row must spell one of the layouts; without
-    one the first layout applies. The header is read line by line; the
-    data block is then read straight from the open file by numpy's C
-    reader, which holds no Python object per line and reads a subset of
-    the spellings float() reads, with the same bits. A block it refuses
-    or that holds a non-finite value is read again and walked line by
-    line with float(), which returns the values of spellings only
-    float() reads (``1_000``, non-ASCII digits) and raises ParseError at
-    the first bad line.
+    Each layout is a tuple of column names, or a function of the Header
+    that returns one or raises its error(). A names row must spell one
+    of the layouts; without one the first layout applies. The header is
+    read line by line; the data block is then read straight from the
+    open file by numpy's C reader, which holds no Python object per line
+    and reads a subset of the spellings float() reads, with the same
+    bits. A block it refuses or that holds a non-finite value is read
+    again and walked line by line with float(), which returns the values
+    of spellings only float() reads (``1_000``, non-ASCII digits) and
+    raises ParseError at the first bad line.
     """
     with open_text(path) as fh:
         header, names, lineno, offset = _scan_header(path, fh)
         if callable(layouts[0]):
-            try:
-                layouts = (layouts[0](header),)
-            except DataError as exc:
-                raise ParseError(path, 1, str(exc)) from None
+            layouts = (layouts[0](header),)
         layout = _pick_layout(path, names, layouts)
         try:
             values = np.loadtxt(fh, comments=None, ndmin=2)
@@ -357,13 +369,16 @@ def read_columns(path, *layouts):
     return header, list(values.T), lineno
 
 
-def _header_float(header, key, path):
+def _header_float(header, key):
     if key not in header:
         return None
     try:
-        return float(header[key])
+        value = float(header[key])
     except ValueError:
-        raise ParseError(path, 1, f"header '{key}={header[key]}' is not a number") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise header.error(key, f"header '{key}={header[key]}' is not a finite number")
+    return value
 
 
 def format_number(x):
@@ -422,7 +437,7 @@ SWEEP_COLUMNS = {
 def _sweep_layout(header):
     fmt = header.get("format", "complex")
     if fmt not in SWEEP_COLUMNS:
-        raise DataError(f"unknown format '{fmt}' (expected complex or db_phase)")
+        raise header.error("format", f"unknown format '{fmt}' (expected complex or db_phase)")
     return SWEEP_COLUMNS[fmt]
 
 
@@ -452,14 +467,14 @@ def parse_sweep_file(path):
         try:
             process = parse_process(header["process"])
         except DataError as exc:
-            raise ParseError(path, 1, str(exc)) from None
+            raise header.error("process", str(exc)) from None
     try:
         return ComplexSweep(
             frequency_hz=f,
             s21=z,
-            power_dbm=_header_float(header, "power_dbm", path),
-            attenuation_db=_header_float(header, "attenuation_db", path),
-            temperature_k=_header_float(header, "temperature_k", path),
+            power_dbm=_header_float(header, "power_dbm"),
+            attenuation_db=_header_float(header, "attenuation_db"),
+            temperature_k=_header_float(header, "temperature_k"),
             resonator_id=header.get("resonator_id", ""),
             chip_id=header.get("chip_id", ""),
             process=process,

@@ -348,6 +348,21 @@ class TestPower:
         assert (out / "tls_report_loss_vs_n.dat").exists()
         assert (out / "tls_report_model_curve.dat").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_attenuation_fails_at_its_line(self, power_dir, tmp_path, capsys, value):
+        # without the check every fit ran and the photon numbers came out
+        # nan (or 0.0 for inf)
+        files = []
+        for src in sorted(power_dir.glob("power_*.dat")):
+            text = src.read_text()
+            assert "\n#attenuation_db=60\n" in text
+            files.append(tmp_path / src.name)
+            files[-1].write_text(text.replace("\n#attenuation_db=60\n",
+                                              f"\n#attenuation_db={value}\n"))
+        assert run("power", *files, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert f"power_00.dat:2: header 'attenuation_db={value}' is not a finite number" in err
+
     def test_missing_attenuation_fails(self, tmp_path, capsys):
         sweeps, _ = synth.synthesize_power_series(seed=2)
         d = tmp_path / "noatten"

@@ -92,6 +92,29 @@ class TestSweepParsing:
         assert "banana" in str(err.value)
         assert ":43:" in str(err.value)  # 2 header + 1 names + 40 rows
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_header_number_rejected(self, tmp_path, value):
+        path = write(tmp_path / "s.dat", sweep_text(
+            header_lines=("#power_dbm=-80", f"#attenuation_db={value}")))
+        with pytest.raises(ParseError) as err:
+            dataio.parse_sweep_file(path)
+        assert err.value.line == 2
+        assert str(err.value).endswith(f"header 'attenuation_db={value}' "
+                                       f"is not a finite number")
+
+    @pytest.mark.parametrize("line, message", [
+        ("#attenuation_db=sixty", "header 'attenuation_db=sixty' is not a finite number"),
+        ("#format=bogus", "unknown format 'bogus'"),
+        ("#process=Z/HP/HT/none", "unknown deposition 'Z'"),
+    ], ids=["number", "format", "process"])
+    def test_header_errors_name_their_line(self, tmp_path, line, message):
+        path = write(tmp_path / "s.dat", sweep_text(
+            header_lines=("#power_dbm=-80", "", "#chip_id=C1", line, "#resonator_id=R0")))
+        with pytest.raises(ParseError) as err:
+            dataio.parse_sweep_file(path)
+        assert err.value.line == 4
+        assert str(err.value).startswith(f"{path}:4: {message}")
+
     def test_header_after_data_rejected(self, tmp_path):
         text = sweep_text() + "#late_key=1\n"
         path = write(tmp_path / "late.dat", text)
