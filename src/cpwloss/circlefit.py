@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fitcov
 from .dataio import ComplexSweep
 from .errors import DataError, FitError
 from .fitcov import covariance, solve
@@ -196,11 +197,6 @@ class ResonanceFit:
     n_points: int = 0
 
 
-# One projected solve took at most 36 evaluations over the acceptance
-# draw and the 1,400-fit stress set (noise to 5e-2); a solve still going
-# at 200 is on a sweep it cannot fit, and stops at the cost of a few fits.
-MAX_NFEV = 200
-
 # rms_residual / noise floor reads at most 1.22 over the acceptance draw
 # and the stress set, and 30 or more with a second dip in the window; 3
 # leaves room for noise that point-to-point differences underrate.
@@ -253,9 +249,9 @@ def fit_resonance(sweep):
     # fr enters as fr - f[0], whose double resolves the optimum below one
     # ulp of fr, so c0 and c1 belong to the optimum and not to the double
     # nearest fr
-    res = solve(residuals, jac, np.array([fr0 - f[0], ql0, tau0]), max_nfev=MAX_NFEV)
+    res = solve(residuals, jac, np.array([fr0 - f[0], ql0, tau0]))
     if res.status == 0:
-        raise FitError(f"resonance fit (limit {MAX_NFEV} function evaluations) "
+        raise FitError(f"resonance fit (limit {fitcov.MAX_NFEV} function evaluations) "
                        f"did not converge: {res.message}")
     fr_f, ql_f, tau_f = f[0] + res.x[0], res.x[1], res.x[2]
     c0, c1, h, hc = step(res.x)[:4]

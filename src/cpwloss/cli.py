@@ -722,7 +722,7 @@ HANDLERS = {
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cpwloss",
-        description="Resonator loss analysis: circle fits, TLS power sweeps, "
+        description="Resonator loss analysis: notch resonance fits, TLS power sweeps, "
                     "loss budgets, and film characterization.")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -417,14 +417,6 @@ def db_phase_to_complex(mag_db, phase_rad):
     return 10.0 ** (mag_db / 20.0) * np.exp(1j * phase_rad)
 
 
-def complex_to_db_phase(z):
-    z = np.asarray(z, dtype=complex)
-    mag = np.abs(z)
-    if np.any(mag == 0):
-        raise DataError("zero-magnitude S21 cannot be expressed in dB")
-    return 20.0 * np.log10(mag), np.angle(z)
-
-
 # ---------------------------------------------------------------------------
 # parsers
 
@@ -542,7 +534,7 @@ def parse_sheet_file(path):
 # ---------------------------------------------------------------------------
 # writers for the same formats (used by the synthetic generators and tests)
 
-def write_sweep_file(path, sweep, fmt="complex"):
+def write_sweep_file(path, sweep):
     header = dict(sweep.header)
     for key, value in (("power_dbm", sweep.power_dbm),
                        ("attenuation_db", sweep.attenuation_db),
@@ -557,16 +549,9 @@ def write_sweep_file(path, sweep, fmt="complex"):
         header["chip_id"] = sweep.chip_id
     if sweep.process is not None:
         header["process"] = str(sweep.process)
-    header["format"] = fmt
-    if fmt == "complex":
-        write_rows(path, header, ("frequency_hz", "s21_real", "s21_imag"),
-                   (sweep.frequency_hz, sweep.s21.real, sweep.s21.imag))
-    elif fmt == "db_phase":
-        db, ph = complex_to_db_phase(sweep.s21)
-        write_rows(path, header, ("frequency_hz", "s21_mag_db", "s21_phase_rad"),
-                   (sweep.frequency_hz, db, ph))
-    else:
-        raise DataError(f"unknown sweep format '{fmt}'")
+    header["format"] = "complex"
+    write_rows(path, header, SWEEP_COLUMNS["complex"],
+               (sweep.frequency_hz, sweep.s21.real, sweep.s21.imag))
 
 
 def write_rt_file(path, sweep):
@@ -676,13 +661,11 @@ def read_report(path):
         raise ParseError(path, exc.lineno, f"not a valid report: {exc.msg}") from None
 
 
-def qty(value, unit=None, sigma=None):
+def qty(value, unit=None):
     """One measured quantity for a report body."""
     entry = {"value": _jsonable(value)}
     if unit is not None:
         entry["unit"] = unit
-    if sigma is not None:
-        entry["sigma"] = _jsonable(sigma)
     return entry
 
 

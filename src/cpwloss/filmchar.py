@@ -139,7 +139,7 @@ def _fit_one_peak(x, y, window):
     def jac(p):
         return _pseudo_voigt_jac(x - xc, p[0] - xc, p[1], p[2], p[3])
 
-    res = solve(residuals, jac, p0, lower, upper, max_nfev=5000)
+    res = solve(residuals, jac, p0, lower, upper)
     cov = covariance(res, f"peak fit in window [{lo}, {hi}]")
     center, fwhm, amp, eta, b0c, b1 = res.x
     if amp < 3.0 * noise:

@@ -74,9 +74,6 @@ class InterfaceLosses:
 @dataclass(frozen=True)
 class ParticipationTable:
     rows: tuple
-    interface_thickness_nm: float = 2.0
-    conductor_width_um: float = 10.0
-    gap_um: float = 6.0
 
     def __post_init__(self):
         if len(self.rows) < 2:
@@ -90,8 +87,8 @@ class ParticipationTable:
         return (self.rows[0].trench_nm, self.rows[-1].trench_nm)
 
 
-# Simulated participations for the standard cross-section, 2 nm
-# interface layers, at trench depths 0, 50 and 100 nm.
+# Simulated participations for the cross-section of dataio's
+# DESIGN_CONSTANTS, 2 nm interface layers, at trench depths 0, 50, 100 nm.
 _BUILTIN_ROWS = (
     ParticipationRow(trench_nm=0.0, p_sa=2.83e-4, p_ma=4.95e-5, p_ms=5.93e-4, p_si=0.907),
     ParticipationRow(trench_nm=50.0, p_sa=2.67e-4, p_ma=2.08e-5, p_ms=5.45e-4, p_si=0.905),

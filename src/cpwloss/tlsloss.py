@@ -174,7 +174,7 @@ def fit_tls(points):
     def jac(p):
         return _tls_log_jac(n, *p) * weights[:, None]
 
-    res = solve(residuals, jac, p0, lower, upper, max_nfev=4000)
+    res = solve(residuals, jac, p0, lower, upper)
     cov = covariance(res, "TLS fit")
     dtls, nc, beta, dhp = res.x
     beta_clamped = (beta <= BETA_BOUNDS[0] * (1 + 1e-9)

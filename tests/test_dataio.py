@@ -69,13 +69,6 @@ class TestSweepParsing:
         expect = 10 ** (-3.0 / 20.0) * np.exp(0.5j)
         np.testing.assert_allclose(s.s21, expect, rtol=1e-12)
 
-    def test_db_phase_write(self, tmp_path):
-        s = dataio.parse_sweep_file(write(tmp_path / "s.dat", sweep_text()))
-        out = str(tmp_path / "dp.dat")
-        dataio.write_sweep_file(out, s, fmt="db_phase")
-        s2 = dataio.parse_sweep_file(out)
-        np.testing.assert_allclose(s2.s21, s.s21, rtol=1e-10)
-
     def test_process_header(self, tmp_path):
         path = write(tmp_path / "s.dat",
                      sweep_text(header_lines=("#process=B/HP/HT/BOE",)))
@@ -530,16 +523,6 @@ class TestDomainTypes:
 
 
 class TestConversions:
-    def test_db_phase_identity(self):
-        z = np.array([0.5 + 0.1j, 1.0 - 0.3j, 0.01 + 0.99j])
-        db, ph = dataio.complex_to_db_phase(z)
-        back = dataio.db_phase_to_complex(db, ph)
-        np.testing.assert_allclose(back, z, rtol=1e-13)
-
-    def test_zero_magnitude_rejected(self):
-        with pytest.raises(DataError):
-            dataio.complex_to_db_phase(np.array([0.0 + 0.0j]))
-
     def test_format_number_precision(self):
         assert dataio.format_number(np.pi) == "3.14159265359"
         assert float(dataio.format_number(1.0 / 3.0)) == pytest.approx(1 / 3, rel=1e-11)
@@ -548,7 +531,7 @@ class TestConversions:
 class TestReports:
     def test_report_round_trip(self, tmp_path):
         path = str(tmp_path / "r.json")
-        body = {"x": dataio.qty(1.5, unit="GHz", sigma=0.1), "flag": True}
+        body = {"x": dataio.qty(1.5, unit="GHz"), "flag": True}
         plot = {"curve": (("a", "b"), (np.arange(3.0), np.arange(3.0) ** 2))}
         written = dataio.write_report(path, "demo", body, plot_data=plot)
         assert len(written) == 2

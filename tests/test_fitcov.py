@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from cpwloss import circlefit
+from cpwloss import circlefit, filmchar, fitcov, tlsloss
 from cpwloss.errors import FitError
 from cpwloss.fitcov import covariance, solve
 from test_circlefit import noisy_draws
+from test_filmchar import make_scan
+from test_tlsloss import series_from_model
 
 
 def linear_problem(m=40, seed=0):
@@ -19,7 +21,7 @@ def linear_problem(m=40, seed=0):
 
 def solve_linear(design, y, x0=None, **bounds):
     x0 = np.zeros(design.shape[1]) if x0 is None else x0
-    return solve(lambda p: design @ p - y, lambda p: design, x0, **bounds, max_nfev=100)
+    return solve(lambda p: design @ p - y, lambda p: design, x0, **bounds)
 
 
 def test_linear_model_matches_closed_form():
@@ -94,8 +96,9 @@ def test_bound_active_variable_stays_on_its_bound():
     assert res.x[0] == pytest.approx(np.mean(y + line[:, 1]), rel=1e-12)
 
 
-def test_unconverged_solve_names_the_fit():
-    # two evaluations cannot converge: a max_nfev stop
+def test_unconverged_solve_names_the_fit(monkeypatch):
+    # two evaluations cannot converge: a MAX_NFEV stop
+    monkeypatch.setattr(fitcov, "MAX_NFEV", 2)
     design, y = linear_problem()
 
     def fun(p):
@@ -104,7 +107,7 @@ def test_unconverged_solve_names_the_fit():
     def jac(p):
         return design * np.exp(design @ p)[:, None]
 
-    res = solve(fun, jac, np.ones(3), max_nfev=2)
+    res = solve(fun, jac, np.ones(3))
     assert res.status == 0
     assert res.nfev == 2
     with pytest.raises(FitError, match="^demo stage did not converge: the maximum "
@@ -125,37 +128,46 @@ def test_overshooting_step_is_halved():
     def jac(p):
         return np.array([[1.0 / (1.0 + p[0] ** 2)], [0.0]])
 
-    res = solve(fun, jac, np.array([2.0]), max_nfev=50)
+    res = solve(fun, jac, np.array([2.0]))
     assert costs[1] > costs[0] > costs[2]
     assert res.status == 2
     assert res.nfev > res.njev
     assert abs(res.x[0]) <= 1e-12
 
 
-def ascent_solve(max_nfev):
+def ascent_solve():
     # the Jacobian's sign is flipped, so every step along its Gauss-Newton
     # direction raises |r|^2
     design, y = linear_problem()
     return solve(lambda p: design @ p - y, lambda p: -design,
-                 np.array([5.0, -3.0, 2.0]), max_nfev=max_nfev)
+                 np.array([5.0, -3.0, 2.0]))
 
 
-def test_no_descent_ends_on_xtol():
+def test_no_descent_ends_on_xtol(monkeypatch):
     # halving from t = 1 to the xtol length takes ~50 evaluations
-    res = ascent_solve(max_nfev=200)
+    monkeypatch.setattr(fitcov, "MAX_NFEV", 200)
+    res = ascent_solve()
     assert res.status == 3
     assert res.nfev < 200 and res.njev == 1
     assert np.all(res.x == [5.0, -3.0, 2.0])
 
 
-def test_max_nfev_counts_the_halvings():
-    res = ascent_solve(max_nfev=10)
+def test_max_nfev_counts_the_halvings(monkeypatch):
+    monkeypatch.setattr(fitcov, "MAX_NFEV", 10)
+    res = ascent_solve()
     assert (res.status, res.nfev, res.njev) == (0, 10, 1)
 
 
-def test_acceptance_draws_evaluation_budget(monkeypatch):
-    # the 200 acceptance draws at noise 1e-3 took 1,416 evaluations with
-    # the trust-region solve; the line search may not take more
+def test_resonance_fit_names_the_cap(monkeypatch):
+    # the resonance fit's message reads the one cap from fitcov
+    monkeypatch.setattr(fitcov, "MAX_NFEV", 3)
+    with pytest.raises(FitError, match="^resonance fit \\(limit 3 function evaluations\\) "
+                                       "did not converge: the maximum number"):
+        circlefit.fit_resonance(next(noisy_draws(1, noise=1e-2)))
+
+
+def recorded_nfev(monkeypatch, module):
+    """The nfev of every solve that `module` makes from here on."""
     nfev = []
 
     def recording_solve(*args, **kwargs):
@@ -163,11 +175,43 @@ def test_acceptance_draws_evaluation_budget(monkeypatch):
         nfev.append(res.nfev)
         return res
 
-    monkeypatch.setattr(circlefit, "solve", recording_solve)
+    monkeypatch.setattr(module, "solve", recording_solve)
+    return nfev
+
+
+def test_acceptance_draws_evaluation_budget(monkeypatch):
+    # the 200 acceptance draws at noise 1e-3 took 1,416 evaluations with
+    # the trust-region solve; the line search may not take more
+    nfev = recorded_nfev(monkeypatch, circlefit)
     for sweep in noisy_draws(200):
         circlefit.fit_resonance(sweep)
     assert len(nfev) == 200
     assert sum(nfev) <= 1416, sum(nfev)
+
+
+def test_tls_fits_evaluation_budget(monkeypatch):
+    # 100 series of test_02's truth at 3 % noise take at most 16
+    # evaluations each, far below the one cap every fit shares
+    nfev = recorded_nfev(monkeypatch, tlsloss)
+    for seed in range(100):
+        tlsloss.fit_tls(series_from_model(2.4e-6, 17.0, 0.42, 2.9e-7, noise=0.03,
+                                          rng=np.random.default_rng(seed)))
+    assert len(nfev) == 100
+    assert max(nfev) <= 25 < fitcov.MAX_NFEV, max(nfev)
+
+
+def test_peak_fits_evaluation_budget(monkeypatch):
+    # 100 pseudo-Voigt peaks (centre 35-38 deg, FWHM 0.1-0.8 deg, 100-1000
+    # counts) at 5 counts of noise take at most 15 evaluations each
+    nfev = recorded_nfev(monkeypatch, filmchar)
+    for k in range(100):
+        rng = np.random.default_rng(2000 + k)
+        center, fwhm = rng.uniform(35.0, 38.0), rng.uniform(0.1, 0.8)
+        scan = make_scan([(center, fwhm, rng.uniform(100.0, 1000.0), rng.uniform(0.0, 1.0))],
+                         noise=5.0, seed=3000 + k)
+        filmchar.fit_peaks(scan, windows=((center - 1.5, center + 1.5),))
+    assert len(nfev) == 100
+    assert max(nfev) <= 25 < fitcov.MAX_NFEV, max(nfev)
 
 
 def test_no_degrees_of_freedom_gives_zero():
@@ -197,9 +241,8 @@ def test_solve_does_not_depend_on_parameter_units(c):
         return np.column_stack([e, p[0] * e * t / p[1] ** 2, np.ones_like(t)])
 
     c = np.array(c)
-    ref = solve(fun, jac, x0, lower, upper, max_nfev=200)
-    res = solve(lambda q: fun(q * c), lambda q: jac(q * c) * c, x0 / c, lower / c,
-                upper, max_nfev=200)
+    ref = solve(fun, jac, x0, lower, upper)
+    res = solve(lambda q: fun(q * c), lambda q: jac(q * c) * c, x0 / c, lower / c, upper)
     assert ref.status > 0 and ref.x[2] == 0.05
     assert (res.status, res.nfev, res.njev) == (ref.status, ref.nfev, ref.njev)
     assert res.x * c == pytest.approx(ref.x, rel=1e-12, abs=0.0)

@@ -26,9 +26,6 @@ class TestBuiltinTable:
         assert (r50.p_sa, r50.p_ma, r50.p_ms, r50.p_si) == (2.67e-4, 2.08e-5, 5.45e-4, 0.905)
         assert (r100.p_sa, r100.p_ma, r100.p_ms, r100.p_si) == (2.51e-4, 1.77e-5, 5.04e-4, 0.903)
         assert table.trench_range_nm == (0.0, 100.0)
-        assert table.interface_thickness_nm == 2.0
-        assert table.conductor_width_um == 10.0
-        assert table.gap_um == 6.0
 
     def test_deeper_trench_reduces_interfaces(self):
         table = load_builtin_table()
