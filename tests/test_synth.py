@@ -84,6 +84,8 @@ def wideband_comb(seed, n_res=40):
     pytest.param(0, None, 20001, id="0"),
     pytest.param(42, None, 20001, id="42"),
     pytest.param(3, wideband_comb(3), 100001, id="wideband_comb"),
+    # three whole product blocks and a short fourth one
+    pytest.param(7, wideband_comb(7), 3 * synth._FEEDLINE_BLOCK + 7, id="blocks_and_a_part"),
 ])
 def test_feedline_bytes_match_one_environment_per_resonator(seed, comb, npoints):
     # the trace as it was built before the bare dips: each factor a full
