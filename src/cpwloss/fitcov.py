@@ -139,6 +139,7 @@ def solve(fun, jac, x0, lower=-np.inf, upper=np.inf):
     XTOL*|scale*x| instead, no step along p lowers |fun|^2: the solve
     ends at x with status 3. MAX_NFEV caps the evaluations of fun before
     convergence, the first and those of the halvings included (status 0).
+    A point whose |fun|^2 or Jacobian is not finite raises FitError.
     """
     x = np.asarray(x0, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)
@@ -153,6 +154,8 @@ def solve(fun, jac, x0, lower=-np.inf, upper=np.inf):
     status = None
     finishing = 0
     while True:
+        if not (np.isfinite(f2) and np.all(np.isfinite(jx))):
+            raise FitError("the residuals or the Jacobian are not finite")
         scale = np.maximum(scale, np.sqrt(np.einsum("ij,ij->j", jx, jx)))
         scale[scale == 0.0] = 1.0
         grad = r @ jx

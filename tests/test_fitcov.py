@@ -214,6 +214,19 @@ def test_peak_fits_evaluation_budget(monkeypatch):
     assert max(nfev) <= 25 < fitcov.MAX_NFEV, max(nfev)
 
 
+@pytest.mark.parametrize("fun,jac", [
+    (lambda x: np.full(3, 1e300) * x, lambda x: np.full((3, 1), 1.0)),
+    (lambda x: x - np.ones(3), lambda x: np.full((3, 1), np.nan)),
+    (lambda x: x - np.ones(3), lambda x: np.full((3, 1), np.inf)),
+], ids=["overflowing_residuals", "nan_jacobian", "infinite_jacobian"])
+def test_non_finite_start_raises_fit_error(fun, jac):
+    # an overflowing |r|^2 would pass for converged, and the SVD of a
+    # non-finite Jacobian does not converge
+    with np.errstate(over="ignore"), pytest.raises(
+            FitError, match="the residuals or the Jacobian are not finite"):
+        solve(fun, jac, np.array([1.0]))
+
+
 def test_no_degrees_of_freedom_gives_zero():
     design, y = linear_problem(m=3)
     res = solve_linear(design, y)
