@@ -123,7 +123,10 @@ def _wing_delay(f, z):
     left, right = _wing_slices(f.size)
     slopes = []
     for sl in (left, right):
-        inc = np.angle(z[sl][1:] * np.conj(z[sl][:-1]))
+        # an overflow spoils only this start value; fitcov.solve rejects
+        # any non-finite residual or Jacobian that follows from it
+        with np.errstate(over="ignore", invalid="ignore"):
+            inc = np.angle(z[sl][1:] * np.conj(z[sl][:-1]))
         if np.any(np.abs(inc) >= 0.99 * np.pi):
             raise FitError("phase unwrap failure: adjacent off-resonant points "
                            "step by ~pi; the sweep undersamples the delay winding")

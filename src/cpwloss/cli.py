@@ -74,7 +74,7 @@ def build_config(args):
     """Set every _CONFIG_TYPES key on the argparse namespace args, in place:
     the flag if given, else the --config file's value, else the default.
     """
-    file_values = parse_config_file(args.config) if args.config else {}
+    file_values = parse_config_file(args.config) if args.config is not None else {}
     unknown = sorted(set(file_values) - set(_CONFIG_TYPES))
     if unknown:
         raise DataError(f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
@@ -88,6 +88,8 @@ def build_config(args):
         else:
             setattr(args, key, default)
             continue
+        if not text:
+            raise DataError(f"{what}: empty value")
         try:
             value = parse_number(text, what) if cast is float else cast(text)
         except ValueError:

@@ -121,6 +121,7 @@ def _factor(jac, r, scale, free):
     return (r @ u)[keep], s[keep], vt[keep]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(fun, jac, x0, lower=-np.inf, upper=np.inf):
     """Minimise |fun(x)|^2 over lower <= x <= upper; returns a Solution.
 
@@ -139,7 +140,8 @@ def solve(fun, jac, x0, lower=-np.inf, upper=np.inf):
     XTOL*|scale*x| instead, no step along p lowers |fun|^2: the solve
     ends at x with status 3. MAX_NFEV caps the evaluations of fun before
     convergence, the first and those of the halvings included (status 0).
-    A point whose |fun|^2 or Jacobian is not finite raises FitError.
+    A point whose |fun|^2 or Jacobian is not finite raises FitError, so
+    numpy's overflow and invalid-value warnings on the way are silenced.
     """
     x = np.asarray(x0, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), x.shape)

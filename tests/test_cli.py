@@ -5,6 +5,7 @@ import glob
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -346,17 +347,28 @@ class TestFit:
         assert body["n_fits"] == 0
         assert capsys.readouterr().err.strip() != ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("param", ["noise=1e300", "a=1e160"])
-    def test_non_finite_start_is_a_fit_failure(self, tmp_path, capsys, param):
-        # |r|^2 overflows at the start: the fit fails by name, and the
-        # SVD of a non-finite Jacobian is never attempted
-        assert run("synth", "notch", param, "--out", tmp_path) == 0
+    @pytest.mark.parametrize("kind,param", [
+        ("notch", "noise=1e300"), ("notch", "a=1e160"),
+        ("power_series", "noise=1e300"), ("power_series", "a=1e160"),
+    ], ids=["noise=1e300", "a=1e160", "power-noise=1e300", "power-a=1e160"])
+    def test_non_finite_start_is_a_fit_failure(self, tmp_path, capsys, kind, param):
+        # |r|^2 overflows at the start: the fit fails by name, the SVD of a
+        # non-finite Jacobian is never attempted, and no numpy warning about
+        # the overflow reaches stderr (pytest turns one into an error)
+        assert run("synth", kind, param, "--out", tmp_path) == 0
         capsys.readouterr()
-        assert run("fit", tmp_path / "notch.dat", "--out", tmp_path) == 1
+        if kind == "notch":
+            assert run("fit", tmp_path / "notch.dat", "--out", tmp_path) == 1
+        else:
+            assert run("power", *sorted(tmp_path.glob("power_*.dat")),
+                       "--out", tmp_path) == 1
         err = capsys.readouterr().err
-        assert "notch.dat: the residuals or the Jacobian are not finite" in err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        if kind == "notch":
+            assert "notch.dat: the residuals or the Jacobian are not finite" in err
+        else:
+            assert all(f"power_{k:02d}.dat: the residuals or the Jacobian are not finite"
+                       in err for k in range(12))
 
 
 @pytest.fixture(scope="module")
@@ -941,6 +953,35 @@ class TestBadNumbers:
         self.assert_one_error(capsys, "scan", f"prominence_db must be > 0 dB, got {value}")
         assert not (tmp_path / "scan_report.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("argv,key", [
+        (("fit", "notch.dat"), "windows"),
+        (("xrd", "xrd.dat"), "windows"),
+        (("budget", "--losses", "losses.cfg", "--trench-nm", "50"), "table"),
+    ], ids=["fit_windows", "xrd_windows", "budget_table"])
+    def test_empty_value(self, tmp_path, monkeypatch, capsys, argv, key, source):
+        # an empty value is an error, not the option left out
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "notch") == 0
+        assert run("synth", "xrd") == 0
+        (tmp_path / "losses.cfg").write_text("\n".join(LOSS_LINES) + "\n")
+        if source == "flag":
+            option, what = ("--" + key, ""), "--" + key
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key}=\n")
+            option, what = ("--config", "run.cfg"), f"config key {key}"
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert run(*argv, *option) == 1
+        self.assert_one_error(capsys, argv[0], f"{what}: empty value")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_empty_config_path(self, tmp_path, capsys):
+        # --config "" names no file: the read fails, it is not skipped
+        assert run("synth", "notch", "--config", "", "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "synth", "No such file or directory: ''")
+        assert not (tmp_path / "truth.json").exists()
+
     def test_synth_xrd_peak_non_finite(self, tmp_path, capsys):
         assert run("synth", "xrd", "peaks=36.9:inf:500:0.3", "--out", tmp_path) == 1
         self.assert_one_error(
@@ -1083,26 +1124,77 @@ def test_synth_pair_error_contract(tmp_path_factory, data, kind):
                            "--out", tmp_path_factory.getbasetemp() / "fuzz_synth"])
 
 
-def readme_walk():
-    """The cpwloss commands of the fenced block under "A full walk" in
-    README.md, each split into its arguments."""
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        block = fh.read().split("A full walk", 1)[1].split("```")[1]
-    return [shlex.split(line)[1:] for line in block.splitlines()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def readme_commands(heading):
+    """The cpwloss commands of the first fenced block after heading in
+    README.md, each split into its arguments, '#' comments dropped."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split(heading, 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
             if line.startswith("cpwloss ")]
 
 
 def test_readme_walk_runs(tmp_path, monkeypatch):
     # each command as a shell runs it: a pattern with no match stays as it is
     monkeypatch.chdir(tmp_path)
-    walk = readme_walk()
+    walk = readme_commands("A full walk")
     assert [argv[0] for argv in walk] == ["synth", "scan", "fit", "synth", "power",
                                           "report"]
     for argv in walk:
         argv = [m for a in argv for m in ((sorted(glob.glob(a)) or [a]) if "*" in a else [a])]
         assert cli.main(argv) == 0, argv
+
+
+def test_readme_other_commands_rerun_byte_identical(tmp_path, monkeypatch):
+    # README's other commands on the input files they name; a second run
+    # rewrites every output byte for byte
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands("Other commands")
+    assert [argv[0] for argv in commands] == ["budget", "budget", "xrd", "rrr", "sheet"]
+    assert run("synth", "xrd") == 0
+    os.replace("xrd.dat", "scan.dat")
+    assert run("synth", "rt") == 0
+    os.remove("truth.json")
+    (tmp_path / "losses.cfg").write_text("\n".join(LOSS_LINES) + "\n")
+    (tmp_path / "measured.dat").write_text(
+        "trench_nm delta\n0 2.1e-06\n25 1.9e-06\n50 1.7e-06\n75 1.6e-06\n100 1.5e-06\n")
+    write_maps("maps.dat")
+    inputs = set(os.listdir(tmp_path))
+
+    def outputs():
+        return {name: file_bytes(tmp_path / name) for name in os.listdir(tmp_path)
+                if name not in inputs}
+
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    first = outputs()
+    assert {name for name in first if name.endswith("_report.json")} == {
+        "budget_report.json", "xrd_report.json", "rrr_report.json", "sheet_report.json"}
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+    assert outputs() == first
+
+
+def test_bench_history_holds_every_cited_record():
+    # one member per line, so each cited BENCH_<sha>.json greps to its own line
+    with open(os.path.join(ROOT, "BENCH_history.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    history = json.loads(text)
+    lines = text.splitlines()
+    assert (lines[0], lines[-1]) == ("{", "}")
+    keys = []
+    for line in lines[1:-1]:
+        member = json.loads("{" + line.removesuffix(",") + "}")
+        assert len(member) == 1, line[:80]
+        keys += member
+    assert keys == list(history)
+    cited = set()
+    for name in ("CHANGES.md", "ROADMAP.md", "README.md"):
+        with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
+            cited.update(re.findall(r"BENCH_[0-9a-f]{7}\.json", fh.read()))
+    assert cited and cited <= set(history), sorted(cited - set(history))
 
 
 def fresh_python(code, *args, cwd=None):

@@ -221,9 +221,8 @@ def test_peak_fits_evaluation_budget(monkeypatch):
 ], ids=["overflowing_residuals", "nan_jacobian", "infinite_jacobian"])
 def test_non_finite_start_raises_fit_error(fun, jac):
     # an overflowing |r|^2 would pass for converged, and the SVD of a
-    # non-finite Jacobian does not converge
-    with np.errstate(over="ignore"), pytest.raises(
-            FitError, match="the residuals or the Jacobian are not finite"):
+    # non-finite Jacobian does not converge; solve raises no numpy warning
+    with pytest.raises(FitError, match="the residuals or the Jacobian are not finite"):
         solve(fun, jac, np.array([1.0]))
 
 
