@@ -7,9 +7,8 @@ an integer seed; the same seed reproduces the same samples bit for
 bit.
 
 The module runs on numpy alone, so `cpwloss synth` never imports scipy:
-the photon-number root solve is brentq, a port of scipy's
-optimize.brentq, and the R(T) step is logistic, the formula of scipy's
-special.expit.
+the photon number is found by bisection, and the R(T) step is
+logistic, the formula of scipy's special.expit.
 """
 
 import math
@@ -31,78 +30,16 @@ def loaded_q(delta_i, qc_mag, phi):
     return float(1.0 / inv_ql)
 
 
-def brentq(f, xa, xb, xtol, rtol, maxiter):
-    """Root of f in [xa, xb] by Brent's method.
-
-    A line-for-line port of scipy's C brentq
-    (scipy/optimize/Zeros/brentq.c, BSD licence, after Brent 1973), so
-    it returns the same float as scipy.optimize.brentq for the same
-    arguments. A root that is not bracketed or not found within
-    maxiter iterations raises FitError.
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise FitError(f"root not bracketed in [{xa:g}, {xb:g}]")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre = scur
-                scur = stry
-            else:
-                # bisect
-                spre = scur = sbis
-        else:
-            # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise FitError(f"root solve in [{xa:g}, {xb:g}] did not converge "
-                   f"in {maxiter} iterations")
-
-
 def solve_photon_number(p_chip_w, fr, qc_mag, phi,
                         delta_tls, n_c, beta, delta_hp):
     """Self-consistent mean photon number at fixed chip power.
 
     <n> depends on Ql, Ql depends on the TLS loss, and the loss
-    depends on <n>; the fixed point n = coef * Ql(delta(n))^2 is
-    bracketed by n=0 and the fully saturated limit and found with
-    brentq, the port of scipy's root solver above.
+    depends on <n>; the root of g(n) = n - coef * Ql(delta(n))^2 has
+    g(0) < 0 <= g(n_hi), n_hi being the fully saturated limit plus one
+    (g(n_hi) is 0 where that one rounds away). The bracket is checked
+    first, and bisected until the midpoint equals an end. A root that
+    is not bracketed raises FitError.
     """
     if p_chip_w <= 0:
         raise DataError("chip power must be positive")
@@ -117,7 +54,17 @@ def solve_photon_number(p_chip_w, fr, qc_mag, phi,
     if not math.isfinite(n_hi):
         raise DataError(f"chip power {p_chip_w:g} W puts more photons in the "
                         f"resonator than a float holds")
-    return brentq(g, 0.0, n_hi, xtol=1e-18, rtol=8.9e-16, maxiter=200)
+    lo, hi = 0.0, n_hi
+    if not g(lo) < 0.0 <= g(hi):
+        raise FitError(f"photon number not bracketed in [0, {n_hi:g}]")
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            return mid
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def synthesize_power_series(fr=5.2e9, qc_mag=2.0e5, phi=0.02,

@@ -2,6 +2,7 @@
 
 import contextlib
 import glob
+import hashlib
 import io
 import json
 import os
@@ -138,10 +139,16 @@ def dipped_sweep(depths_db, n=400):
 
 
 def scan(sweep):
-    """(windows, mag_db, baseline) of scan_windows on sweep at 3 dB."""
+    """(windows, mag_db, baseline) of scan_windows on sweep at 3 dB, the
+    baseline interpolated through its knots."""
     mag_db = cli.magnitude_db(sweep.s21)
-    windows, baseline = cli.scan_windows(sweep.frequency_hz, mag_db, 3.0)
-    return windows, mag_db, baseline
+    windows, knots = cli.scan_windows(sweep.frequency_hz, mag_db, 3.0)
+    return windows, mag_db, np.interp(sweep.frequency_hz, *knots)
+
+
+def block_starts(n, size):
+    """First index of each of block_median_baseline's blocks."""
+    return np.r_[np.arange(0, n - size, size), n - size]
 
 
 class TestScan:
@@ -157,7 +164,55 @@ class TestScan:
             assert w["proximity_flag"] is False
 
     def test_trace_companion_written(self, scanned_dir):
-        assert (scanned_dir / "scan_report_trace.dat").exists()
+        # the baseline's 50 knots, not a row per point of the trace
+        assert read_json(scanned_dir / "scan_report.json")["plot_data"] == {
+            "baseline": "scan_report_baseline.dat"}
+        _, (knot_f, _), _ = dataio.read_columns(scanned_dir / "scan_report_baseline.dat",
+                                                ("frequency_hz", "baseline_db"))
+        assert knot_f.size == 50
+
+    @pytest.mark.parametrize("trace,old_sha256", [
+        ("walk", "0a08fbc11719f96f6f2cd6145e0dcb75b213a7c5ffca87bfcd53c0a9e434e9cd"),
+        ("wideband", "79f3cc04c99fe0b1fb35c8b84113220fc1e28bfa9b1908f12ee1186e1eeabe67"),
+    ], ids=["walk", "wideband"])
+    def test_companion_rebuilds_the_old_trace_columns(self, scanned_dir, tmp_path, trace,
+                                                      old_sha256):
+        # scan_report_trace.dat, which scan wrote before its knots, held
+        # f, |S21| in dB and the full-precision block-median baseline at
+        # every point; old_sha256 is the digest of the file it wrote
+        if trace == "walk":
+            path, out = scanned_dir / "feedline.dat", scanned_dir
+        else:
+            comb = [{"fr": 4e9 + 200e6 * k, "Ql": 2e4, "Qc_mag": 4e4, "phi": 0.05}
+                    for k in range(40)]
+            sweep, _ = synth.synthesize_feedline(comb, npoints=345_307,
+                                                 noise_sigma=5e-4, seed=0)
+            path, out = tmp_path / "feedline.dat", tmp_path
+            dataio.write_sweep_file(path, sweep)
+            del sweep
+            assert run("scan", path, "--out", out) == 0
+
+        # f and |S21| in dB as README rebuilds them, beside the old
+        # medians: the digest pins both columns to the old text
+        sweep = dataio.parse_sweep_file(path)
+        f, mag_db = sweep.frequency_hz, cli.magnitude_db(sweep.s21)
+        size = max(51, 2 * (f.size // 100) + 1)
+        starts = block_starts(f.size, size)
+        medians = [np.sort(mag_db[s:s + size])[size // 2] for s in starts]
+        names = ("frequency_hz", "s21_mag_db", "baseline_db")
+        old = tmp_path / "old_trace.dat"
+        dataio.write_rows(old, {"plot": "trace"}, names,
+                          (f, mag_db, np.interp(f, f[starts + size // 2], medians)))
+        assert hashlib.sha256(file_bytes(old)).hexdigest() == old_sha256
+
+        # the baseline through the companion's knots, within 2 units of
+        # the 12th significant digit of the old column's largest magnitude
+        _, (knot_f, knot_db), _ = dataio.read_columns(
+            out / "scan_report_baseline.dat", ("frequency_hz", "baseline_db"))
+        assert knot_f.size == starts.size == 50
+        old_db = dataio.read_columns(old, names)[1][2]
+        unit = 10.0 ** (np.floor(np.log10(np.max(np.abs(old_db)))) - 11)
+        assert np.max(np.abs(np.interp(f, knot_f, knot_db) - old_db)) <= 2 * unit
 
     def test_flat_trace_fails_loud(self, tmp_path, capsys):
         f = np.linspace(4e9, 5e9, 2001)
@@ -179,7 +234,7 @@ class TestScan:
     def test_windows_match_point_walk(self, depths, monkeypatch):
         # a flat 0 dB baseline: the block median never lets a run touch an end
         monkeypatch.setattr(cli, "block_median_baseline",
-                            lambda f, x, size: np.zeros_like(x))
+                            lambda f, x, size: (f[:1], np.zeros(1)))
         sweep = dipped_sweep(depths)
         windows, mag_db, baseline = scan(sweep)
         assert windows == old_scan_windows(sweep.frequency_hz, baseline - mag_db, 3.0)
@@ -197,16 +252,18 @@ class TestScan:
     def test_block_median_baseline_at_and_between_centres(self, n, size):
         # medians of blocks of size points from the first one, the last
         # block the last size points, each at its centre point; on a
-        # non-uniform grid the baseline is linear in f, not in the index,
-        # between centres
+        # non-uniform grid the baseline through them is linear in f, not
+        # in the index, between centres
         rng = np.random.default_rng(41)
         f = np.cumsum(rng.uniform(0.5, 1.5, n))
         x = rng.standard_normal(n)
-        got = cli.block_median_baseline(f, x, size)
-        starts = np.r_[np.arange(0, n - size, size), n - size]
+        knot_f, knot_db = cli.block_median_baseline(f, x, size)
+        starts = block_starts(n, size)
         centres = starts + size // 2
         medians = np.array([np.sort(x[s:s + size])[size // 2] for s in starts])
-        assert got[centres].tobytes() == medians.tobytes()
+        assert knot_f.tobytes() == f[centres].tobytes()
+        assert knot_db.tobytes() == medians.tobytes()
+        got = np.interp(f, knot_f, knot_db)
         for a, b, ma, mb in zip(centres, centres[1:], medians, medians[1:]):
             t = (f[a:b + 1] - f[a]) / (f[b] - f[a])
             np.testing.assert_allclose(got[a:b + 1], ma + t * (mb - ma), rtol=0, atol=1e-12)
@@ -217,12 +274,12 @@ class TestScan:
     def test_block_median_baseline_short_trace_is_flat(self, n):
         # a trace of at most size points is one block: one flat median
         x = np.random.default_rng(43).standard_normal(n)
-        got = cli.block_median_baseline(np.arange(n, dtype=float), x, 51)
-        assert np.all(got == np.sort(x)[n // 2])
+        knot_f, knot_db = cli.block_median_baseline(np.arange(n, dtype=float), x, 51)
+        assert (knot_f.tolist(), knot_db.tolist()) == ([n // 2], [np.sort(x)[n // 2]])
 
     def test_block_median_baseline_peak_memory(self):
-        # besides the baseline itself only one block is alive: 1.00x the
-        # trace at wideband's 345,307 points and scan's block of 6907
+        # only one block and the 50 knots are alive: 0.023x the trace at
+        # wideband's 345,307 points and scan's block of 6907
         n = 345_307
         x = np.random.default_rng(31).standard_normal(n)
         f = 4e9 + 27_222.0 * np.arange(n)
@@ -232,7 +289,7 @@ class TestScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * x.nbytes
+        assert peak < 2 * 6907 * x.itemsize
 
     def test_scan_peak_memory(self, tmp_path):
         # parse plus scan: the parsed rows x 3 block, a copy of f and
@@ -922,6 +979,17 @@ class TestBadNumbers:
             capsys, "fit", f"{report}: window w1 {key}{text}")
         assert not (tmp_path / "fit_report.json").exists()
 
+    def test_fit_windows_report_without_windows(self, tmp_path, capsys):
+        # scan fails "no dips found" rather than write such a report
+        assert run("synth", "notch", "--out", tmp_path) == 0
+        capsys.readouterr()
+        report = tmp_path / "windows.json"
+        report.write_text('{"body": {"windows": []}}')
+        assert run("fit", tmp_path / "notch.dat", "--windows", report,
+                   "--out", tmp_path) == 1
+        self.assert_one_error(capsys, "fit", f"{report}: scan report holds no windows")
+        assert not (tmp_path / "fit_report.json").exists()
+
     @pytest.mark.parametrize("seed,text", [
         ("abc", "--seed: cannot parse 'abc' as int"),
         ("-1", "--seed must be >= 0, got -1"),
@@ -1136,20 +1204,47 @@ def readme_commands(heading):
             if line.startswith("cpwloss ")]
 
 
+def rerun_byte_identical(commands, root):
+    """Run commands in root, each as a shell runs it (a pattern with no
+    match stays as it is), and every run exits 0; remove what they wrote
+    and run them again, which writes the same files byte for byte.
+    Returns the first pass's {path under root: bytes}."""
+    def files():
+        return {os.path.relpath(os.path.join(d, name), root): file_bytes(os.path.join(d, name))
+                for d, _, names in os.walk(root) for name in names}
+
+    def outputs():
+        for argv in commands:
+            argv = [m for a in argv
+                    for m in ((sorted(glob.glob(a)) or [a]) if "*" in a else [a])]
+            assert cli.main(argv) == 0, argv
+        return {name: data for name, data in files().items() if name not in inputs}
+
+    inputs = set(files())
+    first = outputs()
+    for name in first:
+        os.remove(os.path.join(root, name))
+    second = outputs()
+    assert sorted(second) == sorted(first)
+    assert [name for name in first if second[name] != first[name]] == []
+    return first
+
+
 def test_readme_walk_runs(tmp_path, monkeypatch):
-    # each command as a shell runs it: a pattern with no match stays as it is
+    # the walk twice: every file under demo/ is written again byte for byte
     monkeypatch.chdir(tmp_path)
     walk = readme_commands("A full walk")
     assert [argv[0] for argv in walk] == ["synth", "scan", "fit", "synth", "power",
                                           "report"]
-    for argv in walk:
-        argv = [m for a in argv for m in ((sorted(glob.glob(a)) or [a]) if "*" in a else [a])]
-        assert cli.main(argv) == 0, argv
+    first = rerun_byte_identical(walk, tmp_path)
+    assert {os.path.join("demo", name) for name in (
+        "scan_report.json", "scan_report_baseline.dat", "fit_report.json",
+        "group_report.json", os.path.join("r0", "tls_report.json"))} <= set(first)
 
 
 def test_readme_other_commands_rerun_byte_identical(tmp_path, monkeypatch):
     # README's other commands on the input files they name; a second run
-    # rewrites every output byte for byte
+    # writes every output again byte for byte
     monkeypatch.chdir(tmp_path)
     commands = readme_commands("Other commands")
     assert [argv[0] for argv in commands] == ["budget", "budget", "xrd", "rrr", "sheet"]
@@ -1161,20 +1256,9 @@ def test_readme_other_commands_rerun_byte_identical(tmp_path, monkeypatch):
     (tmp_path / "measured.dat").write_text(
         "trench_nm delta\n0 2.1e-06\n25 1.9e-06\n50 1.7e-06\n75 1.6e-06\n100 1.5e-06\n")
     write_maps("maps.dat")
-    inputs = set(os.listdir(tmp_path))
-
-    def outputs():
-        return {name: file_bytes(tmp_path / name) for name in os.listdir(tmp_path)
-                if name not in inputs}
-
-    for argv in commands:
-        assert cli.main(argv) == 0, argv
-    first = outputs()
+    first = rerun_byte_identical(commands, tmp_path)
     assert {name for name in first if name.endswith("_report.json")} == {
         "budget_report.json", "xrd_report.json", "rrr_report.json", "sheet_report.json"}
-    for argv in commands:
-        assert cli.main(argv) == 0, argv
-    assert outputs() == first
 
 
 def test_bench_history_holds_every_cited_record():

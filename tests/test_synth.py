@@ -1,15 +1,14 @@
-"""synth's numpy replacements for scipy's brentq and expit, with scipy as
-the reference, and the feedline generator."""
+"""synth's photon-number bisection, its numpy replacement for scipy's
+expit with scipy as the reference, and the feedline generator."""
 
 import numpy as np
 import pytest
-import scipy.optimize
 import scipy.special
 
 from cpwloss import synth
 from cpwloss.circlefit import notch_model
 from cpwloss.errors import FitError
-from cpwloss.tlsloss import chip_power_watt
+from cpwloss.tlsloss import HBAR, chip_power_watt, eval_tls_model
 
 
 def photon_number_inputs(rng):
@@ -26,36 +25,30 @@ def photon_number_inputs(rng):
     }
 
 
-def test_photon_number_matches_scipy_brentq(monkeypatch):
+def test_photon_number_is_a_fixed_point():
+    # the bisection ends on two adjacent floats across which
+    # g(n) = n - coef * Ql(delta(n))^2 changes sign, so n is within one
+    # ulp of a root and its residual within one ulp of n
     rng = np.random.default_rng(31)
-    draws = [photon_number_inputs(rng) for _ in range(1000)]
-    ours = np.array([synth.solve_photon_number(**kw) for kw in draws])
-    monkeypatch.setattr(synth, "brentq", scipy.optimize.brentq)
-    theirs = np.array([synth.solve_photon_number(**kw) for kw in draws])
-    assert ours.tobytes() == theirs.tobytes()
+    for _ in range(1000):
+        kw = photon_number_inputs(rng)
+        n = synth.solve_photon_number(**kw)
+        coef = (2.0 / (HBAR * (2.0 * np.pi * kw["fr"]) ** 2)) * kw["p_chip_w"] / kw["qc_mag"]
+
+        def g(x):
+            delta = eval_tls_model(x, kw["delta_tls"], kw["n_c"], kw["beta"], kw["delta_hp"])
+            return x - coef * synth.loaded_q(delta, kw["qc_mag"], kw["phi"]) ** 2
+
+        below, above = np.nextafter(n, -np.inf), np.nextafter(n, np.inf)
+        assert g(below) < 0.0 <= g(n) or g(n) < 0.0 <= g(above), kw
+        assert abs(g(n)) <= np.spacing(n), kw
 
 
-@pytest.mark.parametrize("f,a,b", [
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: np.cos(x) - x, 0.0, 1.0),
-    (lambda x: np.exp(x) - 1e6, 0.0, 30.0),
-    (lambda x: (x - 0.3) ** 5, -1.0, 1.0),
-    (lambda x: np.tanh(50.0 * (x - 0.7)), 0.0, 1.0),
-])
-@pytest.mark.parametrize("xtol,rtol", [(1e-18, 8.9e-16), (2e-12, 1e-9)])
-def test_brentq_port_matches_scipy(f, a, b, xtol, rtol):
-    ours = synth.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
-    theirs = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
-    assert np.float64(ours).tobytes() == np.float64(theirs).tobytes()
-
-
-def test_brentq_failures_are_fit_errors():
-    with pytest.raises(FitError, match="did not converge in 2 iterations"):
-        synth.brentq(lambda x: x ** 3 - 0.123, 0.0, 1e6, xtol=1e-18, rtol=8.9e-16,
-                     maxiter=2)
-    with pytest.raises(FitError, match="not bracketed"):
-        synth.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-18, rtol=8.9e-16,
-                     maxiter=200)
+def test_unbracketed_photon_number_is_a_fit_error():
+    # a NaN loss gives g no sign at either end of [0, n_hi]
+    kw = photon_number_inputs(np.random.default_rng(31))
+    with pytest.raises(FitError, match="photon number not bracketed"):
+        synth.solve_photon_number(**dict(kw, delta_tls=float("nan")))
 
 
 def test_logistic_within_one_ulp_of_expit():
