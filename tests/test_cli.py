@@ -293,7 +293,7 @@ class TestScan:
 
     def test_scan_peak_memory(self, tmp_path):
         # parse plus scan: the parsed rows x 3 block, a copy of f and
-        # |S21| in dB peak at 1.68x the block on 150,001 points, where the
+        # |S21| in dB peak at 1.73x the block on 150,001 points, where the
         # sweep's own copies of f and s21 beside a padded trace took 2.23x
         sweep, _ = synth.synthesize_feedline(npoints=150_001, noise_sigma=5e-4, seed=3)
         path = tmp_path / "feedline.dat"

@@ -1,11 +1,13 @@
 """synth's photon-number bisection, its numpy replacement for scipy's
 expit with scipy as the reference, and the feedline generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
 
-from cpwloss import synth
+from cpwloss import dataio, synth
 from cpwloss.circlefit import notch_model
 from cpwloss.errors import FitError
 from cpwloss.tlsloss import HBAR, chip_power_watt, eval_tls_model
@@ -100,6 +102,39 @@ def test_feedline_bytes_match_one_environment_per_resonator(seed, comb, npoints)
     rng = np.random.default_rng(seed)
     z = z + 5e-4 * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
     assert sweep.s21.tobytes() == z.tobytes()
+
+
+# bytes of one feedline trace of 150,001 points: f and s21, 24 B per point
+FEEDLINE_BYTES = 150_001 * 24
+
+
+def test_feedline_peak_memory():
+    # the trace, its noise buffer and one block's temporaries: 1.38x the
+    # trace, where a whole-trace environment, a complex noise draw and
+    # the sweep's frozen copies of f and s21 took 2.37x. A first call
+    # imports numpy.random, whose modules tracemalloc would count
+    synth.synthesize_feedline(npoints=101, noise_sigma=5e-4, seed=3)
+    tracemalloc.start()
+    try:
+        synth.synthesize_feedline(npoints=150_001, noise_sigma=5e-4, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * FEEDLINE_BYTES
+
+
+def test_feedline_write_peak_memory(tmp_path):
+    # the sweep itself plus one chunk of rows and its text: 1.11x the
+    # trace at 2,048 rows per chunk, against 1.42x at 8,192
+    tracemalloc.start()
+    try:
+        sweep, _ = synth.synthesize_feedline(npoints=150_001, noise_sigma=5e-4, seed=3)
+        tracemalloc.reset_peak()
+        dataio.write_sweep_file(tmp_path / "feedline.dat", sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * FEEDLINE_BYTES
 
 
 @pytest.mark.parametrize("tc, t_min", [(4.7, 2.0), (2.5, 0.3), (15.3, 1.1)])
