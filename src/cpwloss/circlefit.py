@@ -224,8 +224,8 @@ def fit_resonance(sweep):
     is more than ADEQUACY_LIMIT times the noise floor, the fit is
     unphysical, or it finds no dip: sigma_Qi/Qi above RESOLVABILITY_LIMIT.
     """
-    # a parsed sweep holds strided views of its file's block; the fit
-    # works on contiguous copies of them
+    # a parsed sweep's arrays are C-contiguous already; a sweep built
+    # from a caller's read-only strided views is copied
     f = np.ascontiguousarray(sweep.frequency_hz)
     z = np.ascontiguousarray(sweep.s21)
 

@@ -172,7 +172,8 @@ def scan_windows(f, mag_db, prominence_db=3.0):
     if not prominence_db > 0:
         raise DataError(f"prominence_db must be > 0 dB, got {prominence_db:g}")
     knots = block_median_baseline(f, mag_db, max(51, 2 * (f.size // 100) + 1))
-    depth = np.interp(f, *knots) - mag_db
+    depth = np.interp(f, *knots)
+    np.subtract(depth, mag_db, out=depth)
 
     # (i, j) pairs: each run of dip points is depth[i:j] >= prominence_db
     runs = np.flatnonzero(np.diff(np.r_[False, depth >= prominence_db, False]))
@@ -208,10 +209,10 @@ def scan_windows(f, mag_db, prominence_db=3.0):
 
 def cmd_scan(cfg):
     sweep = dataio.parse_sweep_file(cfg.inputs[0])
-    # a parsed sweep's columns are views of one rows x 3 block: copy f and
-    # free the block before the baseline, so scan peaks as |S21| is taken
+    # scan peaks as |S21| is taken: f, S21 and |S21|, 32 bytes a point;
+    # S21 is freed before the baseline
     source = dataio.provenance(sweep)
-    f = np.array(sweep.frequency_hz)
+    f = sweep.frequency_hz
     mag_db = magnitude_db(sweep.s21)
     del sweep
     windows, knots = scan_windows(f, mag_db, cfg.prominence_db)
@@ -252,15 +253,18 @@ def parse_windows_arg(windows_arg):
 
 
 def slice_sweep(sweep, f_lo, f_hi, label):
+    """The points of sweep in [f_lo, f_hi] as a sweep of their own: copies,
+    so that the window does not keep the whole sweep alive."""
     # frequencies strictly increase, so the points in [f_lo, f_hi] are one slice
     lo = int(np.searchsorted(sweep.frequency_hz, f_lo, "left"))
     hi = max(lo, int(np.searchsorted(sweep.frequency_hz, f_hi, "right")))
     if hi - lo < 32:
         raise DataError(f"window {label} [{f_lo:.6g}, {f_hi:.6g}] Hz holds only "
                         f"{hi - lo} points, need >= 32")
-    return replace(sweep,
-                   frequency_hz=sweep.frequency_hz[lo:hi],
-                   s21=sweep.s21[lo:hi],
+    f, s21 = sweep.frequency_hz[lo:hi].copy(), sweep.s21[lo:hi].copy()
+    f.setflags(write=False)
+    s21.setflags(write=False)
+    return replace(sweep, frequency_hz=f, s21=s21,
                    source=f"{sweep.source or '<sweep>'}[{label}]")
 
 
@@ -279,6 +283,7 @@ def cmd_fit(cfg):
                 items.append(((sub.resonator_id, lo), label, sub))
             except DataError as exc:
                 items.append(((sweep.resonator_id, lo), label, exc))
+        del sweep  # the windows are copies: free the feedline before the fits
     else:
         for path in cfg.inputs:
             sub = dataio.parse_sweep_file(path)

@@ -292,9 +292,10 @@ class TestScan:
         assert peak < 2 * 6907 * x.itemsize
 
     def test_scan_peak_memory(self, tmp_path):
-        # parse plus scan: the parsed rows x 3 block, a copy of f and
-        # |S21| in dB peak at 1.73x the block on 150,001 points, where the
-        # sweep's own copies of f and s21 beside a padded trace took 2.23x
+        # parse plus scan: f, s21 and |S21| in dB peak at 1.40x the rows x 3
+        # block on 150,001 points, where the block, a copy of f and |S21|
+        # took 1.73x, and the sweep's own copies of f and s21 beside a
+        # padded trace 2.23x
         sweep, _ = synth.synthesize_feedline(npoints=150_001, noise_sigma=5e-4, seed=3)
         path = tmp_path / "feedline.dat"
         dataio.write_sweep_file(path, sweep)
@@ -305,7 +306,7 @@ class TestScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.9 * 150_001 * 3 * 8
+        assert peak < 1.5 * 150_001 * 3 * 8
 
     @pytest.mark.parametrize("index", [0, 399])
     def test_dip_at_trace_end(self, index):
@@ -363,6 +364,30 @@ class TestFit:
         first = file_bytes(out / "fit_report.json")
         assert run(*args) == 0
         assert file_bytes(out / "fit_report.json") == first
+
+    def test_windows_free_the_feedline(self, scanned_dir, tmp_path, monkeypatch):
+        # the windows are copies, so the parsed feedline is freed before
+        # the first window fit: 0.04x its 24 bytes a row are still traced
+        # then on the walk's 72,001 points, where views of it kept 1.03x
+        from cpwloss import circlefit
+        traced = []
+        fit = circlefit.fit_resonance
+
+        def first_fit(sweep):
+            if not traced:
+                traced.append(tracemalloc.get_traced_memory()[0])
+            return fit(sweep)
+
+        monkeypatch.setattr(circlefit, "fit_resonance", first_fit)
+        n = dataio.parse_sweep_file(scanned_dir / "feedline.dat").frequency_hz.size
+        tracemalloc.start()
+        try:
+            assert run("fit", scanned_dir / "feedline.dat",
+                       "--windows", scanned_dir / "scan_report.json",
+                       "--out", tmp_path) == 0
+        finally:
+            tracemalloc.stop()
+        assert traced[0] < 0.25 * n * 3 * 8
 
     def test_single_file(self, tmp_path):
         assert run("synth", "notch", "--out", tmp_path) == 0

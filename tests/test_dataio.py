@@ -37,6 +37,15 @@ def big_sweep(n=100_000):
                                s21=rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
+def float_sweep(text):
+    """(f, s21) of a complex sweep file's text by float() of each cell,
+    row by row, s21 being a + 1j * b."""
+    rows = [[float(tok) for tok in line.split()] for line in text.splitlines()
+            if line.split() and not line.startswith(("#", "f"))]
+    f, a, b = np.array(rows).T
+    return f, a + 1j * b
+
+
 class TestSweepParsing:
     def test_complex_round_trip(self, tmp_path):
         path = write(tmp_path / "s.dat", sweep_text())
@@ -170,11 +179,10 @@ class TestSweepParsing:
         finally:
             tracemalloc.stop()
         assert peak < 2 * path.stat().st_size
-        # the sweep keeps read-only views of the parsed rows x 3 block and
-        # s21 is built in place: 1.38x the block, numpy's reader growing
-        # it, where copying f and then both columns into the sweep took
-        # 2.0x, and a + 1j * b beside the live block 2.67x
-        assert peak < 1.5 * 100_000 * 3 * 8
+        # f and s21 (24 bytes a row) are filled chunk by chunk: 1.22x them,
+        # their 1/32 spare and one 16,384-line chunk of rows, where one
+        # np.loadtxt of the whole rows x 3 block took 1.38x as it grew it
+        assert peak < 1.3 * 100_000 * 3 * 8
 
     def test_complex_s21_bits(self, tmp_path):
         # s21 is a + 1j * b to the bit, signed zeros included: that sum
@@ -356,8 +364,28 @@ class TestReaderParity:
         path = tmp_path / "variant.dat"
         path.write_bytes(text.encode())
         s = dataio.parse_sweep_file(str(path))
-        np.testing.assert_array_equal(s.frequency_hz, ref[:, 0])
-        np.testing.assert_array_equal(s.s21, ref[:, 1] + 1j * ref[:, 2])
+        assert s.frequency_hz.tobytes() == ref[:, 0].tobytes()
+        assert s.s21.tobytes() == (ref[:, 1] + 1j * ref[:, 2]).tobytes()
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        # files are read with universal newlines: a lone \r ends a line
+        # as \n does, so data row 2 (line 5) ending in one leaves 40 rows,
+        # and a bad cell on line 13 is reported there
+        def cr_after_line_5(lines):
+            return ("\n".join(lines[:5]) + "\r" + "\n".join(lines[5:])).encode()
+
+        lines = sweep_text().split("\n")
+        path = tmp_path / "cr.dat"
+        path.write_bytes(cr_after_line_5(lines))
+        s = dataio.parse_sweep_file(str(path))
+        f, s21 = float_sweep(sweep_text())
+        assert s.frequency_hz.tobytes() == f.tobytes()
+        assert s.s21.tobytes() == s21.tobytes()
+        lines[12] = "5000009000 0.9 oops"
+        path.write_bytes(cr_after_line_5(lines))
+        with pytest.raises(ParseError) as err:
+            dataio.parse_sweep_file(str(path))
+        assert str(err.value) == f"{path}:13: column 's21_imag': cannot parse 'oops' as a number"
 
     def test_line_numbers_count_newlines_only(self, tmp_path):
         # \x1c and \u2028 separate cells but do not end a line
@@ -473,6 +501,100 @@ def test_defect_past_first_chunk(tmp_path, defect):
     path = tmp_path / "big.dat"
     check_against_reference(path, ["#plot=big"], data, ("f", "a", "b"))
     assert path.stat().st_size >= 2_000_000
+
+
+CHUNK = 40
+
+
+class TestChunkBoundaries:
+    """read_columns reads the data block in chunks of _READ_CHUNK_LINES
+    lines; here a chunk is 40 lines, so every sweep crosses a boundary
+    and must read as the float() reference does, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_READ_CHUNK_LINES", CHUNK)
+
+    @pytest.fixture
+    def chunks_only(self, monkeypatch):
+        """Fail the test if the line-by-line float() walk reads a cell."""
+        def walked(*args):
+            raise AssertionError("read by the float() walk, not in chunks")
+        monkeypatch.setattr(dataio, "_float_cell", walked)
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+    def test_row_counts(self, tmp_path, chunks_only, n):
+        text = sweep_text(n)
+        s = dataio.parse_sweep_file(write(tmp_path / "s.dat", text))
+        f, s21 = float_sweep(text)
+        assert s.frequency_hz.tobytes() == f.tobytes()
+        assert s.s21.tobytes() == s21.tobytes()
+        for arr in (s.frequency_hz, s.s21):
+            assert arr.flags.c_contiguous and arr.flags.owndata and not arr.flags.writeable
+
+    @pytest.mark.parametrize("row", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_blank_lines_across_a_boundary(self, tmp_path, chunks_only, row):
+        # blank and white-space lines after data row `row` fill the end of
+        # one chunk and the start of the next
+        lines = sweep_text(2 * CHUNK).split("\n")
+        lines[3 + row:3 + row] = ["", " \t", "", "\x0c"]
+        text = "\n".join(lines)
+        s = dataio.parse_sweep_file(write(tmp_path / "s.dat", text))
+        f, s21 = float_sweep(sweep_text(2 * CHUNK))
+        assert s.frequency_hz.tobytes() == f.tobytes()
+        assert s.s21.tobytes() == s21.tobytes()
+
+    def test_later_rows_longer_than_the_first(self, tmp_path, chunks_only):
+        # the arrays are sized from the first chunk's bytes per row; rows
+        # twice as long after it make them grow, and the values stay the same
+        lines = sweep_text(5 * CHUNK).split("\n")
+        for i in range(3 + CHUNK, 3 + 5 * CHUNK):
+            lines[i] = "    ".join(lines[i].split()) + "   "
+        text = "\n".join(lines)
+        s = dataio.parse_sweep_file(write(tmp_path / "s.dat", text))
+        f, s21 = float_sweep(text)
+        assert s.frequency_hz.tobytes() == f.tobytes()
+        assert s.s21.tobytes() == s21.tobytes()
+
+    def test_bad_cell_in_the_second_chunk(self, tmp_path):
+        # data row 50 sits on line 53, after 2 header lines and the names row
+        text = replace_line(sweep_text(2 * CHUNK), 53, "5000049000 0.9 banana")
+        path = write(tmp_path / "s.dat", text)
+        with pytest.raises(ParseError) as err:
+            dataio.parse_sweep_file(path)
+        assert str(err.value) == f"{path}:53: column 's21_imag': cannot parse 'banana' as a number"
+
+    def test_non_increasing_row_at_a_boundary(self, tmp_path):
+        # the first row of the second chunk repeats the last of the first
+        text = replace_line(sweep_text(2 * CHUNK), 3 + CHUNK + 1, "5000039000 0.9 0.01")
+        path = write(tmp_path / "s.dat", text)
+        with pytest.raises(ParseError) as err:
+            dataio.parse_sweep_file(path)
+        assert str(err.value) == (f"{path}:{3 + CHUNK + 1}: frequency must be strictly increasing; "
+                                  f"row {CHUNK + 1} (5000039000.0) does not exceed "
+                                  f"row {CHUNK} (5000039000.0)")
+
+    def test_db_phase_over_several_chunks(self, tmp_path, chunks_only):
+        # s21 is db_phase_to_complex of the float() columns, to the bit
+        rng = np.random.default_rng(8)
+        mag_db, phase = rng.uniform(-40.0, 0.0, 5 * CHUNK), rng.uniform(-3.2, 3.2, 5 * CHUNK)
+        lines = ["#format=db_phase", "frequency_hz s21_mag_db s21_phase_rad"]
+        lines += [f"{4e9 + 1e3 * k:.12g} {m!r} {p!r}"
+                  for k, (m, p) in enumerate(zip(mag_db.tolist(), phase.tolist()))]
+        s = dataio.parse_sweep_file(write(tmp_path / "dp.dat", "\n".join(lines) + "\n"))
+        rows = np.array([[float(tok) for tok in line.split()] for line in lines[2:]])
+        assert s.frequency_hz.tobytes() == rows[:, 0].tobytes()
+        assert s.s21.tobytes() == dataio.db_phase_to_complex(mag_db, phase).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data_blocks())
+    def test_blocks_in_two_line_chunks(self, tmp_path_factory, block):
+        # blank lines, # lines and ragged rows at every place in a chunk
+        names, data = block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_READ_CHUNK_LINES", 2)
+            check_against_reference(tmp_path_factory.getbasetemp() / "block.dat",
+                                    ["#power_dbm=-80", ""], data, names)
 
 
 def old_write_rows(header, names, columns):
